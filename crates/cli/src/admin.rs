@@ -94,15 +94,15 @@ fn render_staged_diff(body: &str) {
     let Ok(doc) = baryon_sim::json::parse(body) else {
         return;
     };
-    let Some(diff) = field(&doc, "staged_diff") else {
+    let Some(diff) = doc.get("staged_diff") else {
         return;
     };
     let (Some(Json::U64(from)), Some(Json::U64(to))) =
-        (field(diff, "from_generation"), field(diff, "to_generation"))
+        (diff.get("from_generation"), diff.get("to_generation"))
     else {
         return;
     };
-    let Some(Json::Obj(changes)) = field(diff, "changes") else {
+    let Some(Json::Obj(changes)) = diff.get("changes") else {
         return;
     };
     eprintln!(
@@ -111,20 +111,9 @@ fn render_staged_diff(body: &str) {
         if changes.len() == 1 { "" } else { "s" }
     );
     for (knob, change) in changes {
-        let side = |name| match field(change, name) {
-            Some(Json::Str(s)) => s.clone(),
-            _ => "?".to_owned(),
-        };
+        let side = |name| change.get(name).and_then(Json::as_str).unwrap_or("?");
         eprintln!("  {knob}: {} -> {}", side("from"), side("to"));
     }
-}
-
-/// Looks up `name` in a JSON object; `None` for non-objects.
-fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    let Json::Obj(pairs) = doc else {
-        return None;
-    };
-    pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 /// Maps a client failure onto the documented exit statuses.

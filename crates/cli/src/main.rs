@@ -46,7 +46,7 @@
 //! started under these variables injects faults into its own journal,
 //! checkpoints, and responses — the degradation ladder (checkpoint
 //! quarantine, shard quarantine, failover, reply validation) is expected
-//! to absorb them; `chaos_gate` in CI holds it to that. The fleet
+//! to absorb them; `fleet_gate chaos` in CI holds it to that. The fleet
 //! supervisor's crash-loop budget is `BARYON_FLEET_QUARANTINE_AFTER`
 //! rapid respawns (default 8, `0` disables quarantine).
 

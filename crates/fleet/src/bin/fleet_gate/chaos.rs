@@ -1,4 +1,4 @@
-//! `chaos_gate` — the fleet degradation-ladder CI gate.
+//! The `chaos` scenario: the degradation ladder end to end.
 //!
 //! Runs the fleet under *aggressive* seeded fault injection
 //! ([`baryon_sim::faultfs`], enabled on every shard via the launcher's
@@ -7,7 +7,7 @@
 //!
 //! 1. compute clean goldens in-process (chaos is per-process and this
 //!    process sets no `BARYON_CHAOS_*` variables),
-//! 2. boot a coordinator over 3 worker shards, each with hostile-disk and
+//! 2. boot a fleet whose 3 worker shards each run with hostile-disk and
 //!    lying-shard injection: torn/failed journal appends, silent
 //!    post-write corruption, read flips, fsync failures, and post-CRC
 //!    response-body flips,
@@ -29,26 +29,21 @@
 //!
 //! Every rate knob and the seed come from the environment when set
 //! (`BARYON_CHAOS_SEED`, `BARYON_CHAOS_*_PPM`) so a failure reproduces
-//! exactly; the defaults below are the CI configuration.
+//! exactly; the defaults below are the CI configuration:
 //!
 //! ```text
-//! cargo run --release -p baryon-fleet --bin chaos_gate
+//! BARYON_CHAOS_SEED=42 BARYON_CHAOS_CORRUPT_PPM=20000 ... fleet_gate chaos
 //! ```
 
-use baryon_bench::spec::{GridSpec, JobSpec, RunSpec};
-use baryon_fleet::coordinator::{Fleet, FleetConfig, FleetController};
-use baryon_fleet::harness;
+use crate::{gate_config, gate_grid, SHARDS};
+use baryon_bench::spec::{JobSpec, RunSpec};
+use baryon_fleet::harness::{self, GateFleet};
 use baryon_fleet::shard::route;
-use baryon_serve::client::Client;
-use baryon_sim::json::{self, Json};
-use std::net::SocketAddr;
+use baryon_sim::json::Json;
 use std::path::Path;
-use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const SHARDS: usize = 3;
 const POLL: Duration = Duration::from_millis(10);
-const DEADLINE: Duration = Duration::from_secs(240);
 
 /// The default (CI) chaos configuration: aggressive enough that every
 /// rung of the ladder is exercised in one run, convergent enough that
@@ -63,26 +58,6 @@ const CHAOS_KNOBS: &[(&str, &str)] = &[
     ("BARYON_CHAOS_READ_FLIP_PPM", "20000"),
     ("BARYON_CHAOS_RESPONSE_CORRUPT_PPM", "30000"),
 ];
-
-/// The 8-cell sweep, run over the fleet after one shard is quarantined.
-fn gate_grid() -> GridSpec {
-    GridSpec {
-        workloads: vec![
-            "505.mcf_r".into(),
-            "557.xz_r".into(),
-            "pr.twi".into(),
-            "ycsb-a".into(),
-        ],
-        controllers: vec!["simple".into(), "baryon".into()],
-        base: RunSpec {
-            insts: 250_000,
-            warmup: 20_000,
-            scale: 1024,
-            seed: 13,
-            ..RunSpec::default()
-        },
-    }
-}
 
 /// The single used to load the crash-looping shard (short enough to keep
 /// the gate fast, long enough to still be in flight when the quarantine
@@ -108,123 +83,6 @@ fn ladder_spec() -> RunSpec {
         seed: 19,
         ..RunSpec::default()
     }
-}
-
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn client(addr: SocketAddr) -> Client {
-    Client::new(addr).read_timeout(Duration::from_secs(60))
-}
-
-/// A `fleet./shard<i>.` counter from `/v1/metrics` (0 when absent — a
-/// quarantined shard's namespace disappears from the scrape).
-fn counter(addr: SocketAddr, key: &str) -> Result<u64, String> {
-    let r = client(addr)
-        .request("GET", "/v1/metrics", None)
-        .map_err(|e| format!("metrics: {e}"))?;
-    if r.status != 200 {
-        return Err(format!("metrics {}: {}", r.status, r.body));
-    }
-    let doc = json::parse(&r.body).map_err(|e| format!("metrics not JSON ({e}): {}", r.body))?;
-    let counters = obj_get(&doc, "counters").unwrap_or(&doc);
-    Ok(get_u64(counters, key).unwrap_or(0))
-}
-
-/// Polls a counter until `predicate` holds or `within` elapses; returns
-/// the last observed value either way.
-fn await_counter(
-    addr: SocketAddr,
-    key: &str,
-    within: Duration,
-    predicate: impl Fn(u64) -> bool,
-) -> Result<u64, String> {
-    let deadline = Instant::now() + within;
-    loop {
-        let value = counter(addr, key)?;
-        if predicate(value) || Instant::now() > deadline {
-            return Ok(value);
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
-/// POSTs a job, returning its fleet id.
-fn submit(addr: SocketAddr, body: &str, what: &str) -> Result<u64, String> {
-    let accepted = client(addr)
-        .request("POST", "/v1/jobs", Some(body))
-        .map_err(|e| format!("{what} submit: {e}"))?;
-    if accepted.status != 202 {
-        return Err(format!(
-            "{what} submit {}: {}",
-            accepted.status, accepted.body
-        ));
-    }
-    let doc = json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-    get_u64(&doc, "id").ok_or_else(|| format!("{what}: 202 body has no id"))
-}
-
-/// Polls the fleet job until `predicate` holds on its status document.
-fn await_status(
-    addr: SocketAddr,
-    id: u64,
-    what: &str,
-    predicate: impl Fn(&Json) -> bool,
-) -> Result<Json, String> {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let r = client(addr)
-            .request("GET", &format!("/v1/jobs/{id}"), None)
-            .map_err(|e| format!("job status: {e}"))?;
-        if r.status != 200 {
-            return Err(format!("job status {}: {}", r.status, r.body));
-        }
-        let doc = json::parse(&r.body).map_err(|e| format!("status not JSON ({e}): {}", r.body))?;
-        if predicate(&doc) {
-            return Ok(doc);
-        }
-        if let Some("failed") = get_str(&doc, "state") {
-            return Err(format!("job failed while waiting for {what}: {}", r.body));
-        }
-        if Instant::now() > deadline {
-            return Err(format!("timed out waiting for {what}: {}", r.body));
-        }
-        std::thread::sleep(POLL);
-    }
-}
-
-/// Awaits a done job and checks its result renders exactly as `golden`.
-fn await_identical(addr: SocketAddr, id: u64, golden: &str, what: &str) -> Result<(), String> {
-    let status = await_status(addr, id, &format!("{what} completion"), |doc| {
-        get_str(doc, "state") == Some("done")
-    })?;
-    let result =
-        obj_get(&status, "result").ok_or_else(|| format!("{what}: done without result"))?;
-    if result.render() != golden {
-        return Err(format!(
-            "{what} diverged from the clean run\n  golden: {golden}\n  chaos:  {}",
-            result.render()
-        ));
-    }
-    Ok(())
 }
 
 /// Flips one bit in every checkpoint rotation member under the shard's
@@ -305,18 +163,15 @@ fn await_checkpoint_on_disk(shard_journal: &Path) -> Result<(), String> {
 /// Phase: crash-loop one shard past its quarantine budget with singles
 /// in flight on it; every single must fail over and settle identical to
 /// `golden`. Returns the quarantined shard's index.
-fn crash_loop_phase(
-    addr: SocketAddr,
-    controller: &FleetController,
-    golden: &str,
-) -> Result<usize, String> {
+fn crash_loop_phase(fleet: &GateFleet, golden: &str) -> Result<usize, String> {
+    let controller = fleet.controller();
     let body = JobSpec::Run(failover_spec()).to_json().render();
     // Submit a batch of identical singles and crash-loop whichever shard
     // the routing hash loaded heaviest — by pigeonhole it holds at least
     // 4, so the quarantine reliably catches cells in flight (the rest
     // land on other shards and just run).
     let ids: Vec<u64> = (0..10)
-        .map(|_| submit(addr, &body, "failover single"))
+        .map(|_| fleet.submit(&body, "failover single"))
         .collect::<Result<_, _>>()?;
     let mut per_shard = [0usize; SHARDS];
     for &id in &ids {
@@ -326,8 +181,11 @@ fn crash_loop_phase(
         .max_by_key(|&s| per_shard[s])
         .expect("SHARDS > 0");
     for &id in &ids {
-        await_status(addr, id, "single dispatch", |doc| {
-            matches!(get_str(doc, "state"), Some("running" | "done"))
+        fleet.await_status(id, "single dispatch", |doc| {
+            matches!(
+                doc.get("state").and_then(Json::as_str),
+                Some("running" | "done")
+            )
         })?;
     }
 
@@ -356,14 +214,13 @@ fn crash_loop_phase(
     }
     println!("shard {victim} quarantined after exhausting its crash-loop budget");
 
-    let failover = await_counter(addr, "fleet.cells.failover", Duration::from_secs(10), |n| {
-        n >= 1
-    })?;
+    let failover =
+        fleet.await_counter("fleet.cells.failover", Duration::from_secs(10), |n| n >= 1)?;
     if failover == 0 {
         return Err("quarantine caught no cells in flight (fleet.cells.failover is 0)".into());
     }
     for &id in &ids {
-        await_identical(addr, id, golden, &format!("failed-over single {id}"))?;
+        fleet.await_identical(id, golden, &format!("failed-over single {id}"))?;
     }
     println!(
         "{} singles settled byte-identical through the quarantine ({failover} failed over)",
@@ -378,13 +235,8 @@ fn crash_loop_phase(
 /// the shard's journal record (the run then restarts cold without ever
 /// touching the rotten checkpoints), so the phase retries with a fresh
 /// run until the `serve.ckpt.quarantined` counter moves.
-fn ladder_phase(
-    addr: SocketAddr,
-    controller: &FleetController,
-    journal_root: &Path,
-    victim: usize,
-    golden: &str,
-) -> Result<(), String> {
+fn ladder_phase(fleet: &GateFleet, victim: usize, golden: &str) -> Result<(), String> {
+    let controller = fleet.controller();
     let body = JobSpec::Run(ladder_spec()).to_json().render();
     for attempt in 0..4 {
         if attempt > 0 {
@@ -394,35 +246,31 @@ fn ladder_phase(
         }
         // Land a run on any still-healthy shard.
         let id = loop {
-            let id = submit(addr, &body, "ladder single")?;
+            let id = fleet.submit(&body, "ladder single")?;
             if route(id, SHARDS) != victim {
                 break id;
             }
-            await_identical(addr, id, golden, "rerouted ladder single")?;
+            fleet.await_identical(id, golden, "rerouted ladder single")?;
         };
         let shard = route(id, SHARDS);
-        let shard_journal = journal_root.join(format!("shard{shard}"));
-        await_status(addr, id, "ladder dispatch", |doc| {
-            get_str(doc, "state") == Some("running")
+        let shard_journal = fleet.journal_root().join(format!("shard{shard}"));
+        fleet.await_status(id, "ladder dispatch", |doc| {
+            doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
         await_checkpoint_on_disk(&shard_journal)?;
 
         // Freeze the shard (pause blocks the supervisor's respawn), rot
         // the rotation on disk, then let it come back and resume.
-        let before = counter(addr, &format!("shard{shard}.serve.ckpt.quarantined"))?;
+        let quarantined = format!("shard{shard}.serve.ckpt.quarantined");
+        let before = fleet.counter(&quarantined)?;
         controller.pause_shard(shard);
         controller
             .kill_shard(shard)
             .map_err(|e| format!("kill shard {shard}: {e}"))?;
         let rotted = rot_checkpoints(&shard_journal)?;
         controller.unpause_shard(shard);
-        await_identical(addr, id, golden, "ladder single")?;
-        let after = await_counter(
-            addr,
-            &format!("shard{shard}.serve.ckpt.quarantined"),
-            Duration::from_secs(10),
-            |n| n > before,
-        )?;
+        fleet.await_identical(id, golden, "ladder single")?;
+        let after = fleet.await_counter(&quarantined, Duration::from_secs(10), |n| n > before)?;
         if after > before {
             println!(
                 "shard {shard} quarantined {} rotten checkpoint(s) ({rotted} rotted on disk) \
@@ -439,14 +287,10 @@ fn ladder_phase(
     Err("checkpoint ladder never engaged (serve.ckpt.quarantined never moved)".into())
 }
 
-fn run_gate() -> Result<(), String> {
-    let journal_root =
-        std::env::temp_dir().join(format!("baryon-chaos-gate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&journal_root);
-
+pub fn run() -> Result<(), String> {
     // Clean goldens first: this process never sets BARYON_CHAOS_* for
     // itself, so these are fault-free.
-    let grid = gate_grid();
+    let grid = gate_grid(250_000, 20_000, 13);
     let grid_golden = JobSpec::Grid(grid.clone())
         .execute()
         .map_err(|e| format!("grid golden: {e}"))?
@@ -460,106 +304,56 @@ fn run_gate() -> Result<(), String> {
         .map_err(|e| format!("ladder golden: {e}"))?
         .render();
 
-    // Chaos rides into the shards on the launcher environment; the knobs
-    // honor the caller's values so failures reproduce exactly.
-    std::env::set_var("BARYON_SERVE_CHECKPOINT_EVERY", "10000");
-    std::env::set_var("BARYON_FLEET_QUARANTINE_AFTER", "2");
+    // Chaos and the checkpoint cadence ride into the shards on the
+    // launcher environment; the knobs honor the caller's values so
+    // failures reproduce exactly.
     let mut launcher = harness::self_launcher(1, 16).map_err(|e| format!("launcher: {e}"))?;
+    launcher.extra_env.push((
+        "BARYON_SERVE_CHECKPOINT_EVERY".to_owned(),
+        "10000".to_owned(),
+    ));
     for (name, default) in CHAOS_KNOBS {
         let value = std::env::var(name).unwrap_or_else(|_| (*default).to_owned());
         launcher.extra_env.push(((*name).to_owned(), value));
     }
+    // The crash-loop budget is read once, at bind: scope it to this
+    // scenario's coordinator so no other scenario inherits it.
+    std::env::set_var("BARYON_FLEET_QUARANTINE_AFTER", "2");
+    let fleet = GateFleet::boot(gate_config("chaos", 64), launcher);
+    std::env::remove_var("BARYON_FLEET_QUARANTINE_AFTER");
+    let fleet = fleet?;
 
-    let fleet = Fleet::bind(
-        FleetConfig {
-            port: 0,
-            shards: SHARDS,
-            workers_per_shard: 1,
-            shard_queue_depth: 16,
-            queue_cap: 64,
-            max_in_flight_per_client: 64,
-            journal_root: journal_root.clone(),
-        },
-        launcher,
-    )
-    .map_err(|e| format!("fleet bind: {e}"))?;
-    let addr = fleet.local_addr();
-    let controller = fleet.controller();
-    let serving = std::thread::spawn(move || fleet.run());
+    let victim = crash_loop_phase(&fleet, &failover_golden)?;
+    ladder_phase(&fleet, victim, &ladder_golden)?;
 
-    let outcome = (|| -> Result<(), String> {
-        let victim = crash_loop_phase(addr, &controller, &failover_golden)?;
-        ladder_phase(addr, &controller, &journal_root, victim, &ladder_golden)?;
+    // The 8-cell sweep over the degraded fleet: one shard out of
+    // rotation, disk and response chaos still live on the survivors.
+    let sweep = fleet.submit(&JobSpec::Grid(grid).to_json().render(), "sweep")?;
+    fleet.await_identical(sweep, &grid_golden, "chaos sweep")?;
+    println!("8-cell sweep over the degraded fleet matches the clean run byte-for-byte");
 
-        // The 8-cell sweep over the degraded fleet: one shard out of
-        // rotation, disk and response chaos still live on the survivors.
-        let sweep_body = JobSpec::Grid(grid.clone()).to_json().render();
-        let sweep = submit(addr, &sweep_body, "sweep")?;
-        let status = await_status(addr, sweep, "sweep completion", |doc| {
-            get_str(doc, "state") == Some("done")
-        })?;
-        let result = obj_get(&status, "result").ok_or("done sweep has no result")?;
-        if result.render() != grid_golden {
-            return Err(format!(
-                "chaos sweep diverged from the clean run\n  golden: {grid_golden}\n  chaos:  {}",
-                result.render()
-            ));
-        }
-        println!("8-cell sweep over the degraded fleet matches the clean run byte-for-byte");
-
-        // Ladder bookkeeping: every degradation counter fired, nothing
-        // was lost.
-        if counter(addr, "fleet.jobs.failed")? != 0 {
-            return Err("jobs were lost under chaos (fleet.jobs.failed != 0)".into());
-        }
-        if controller.quarantined_shards() != 1 {
-            return Err(format!(
-                "expected exactly 1 quarantined shard, have {}",
-                controller.quarantined_shards()
-            ));
-        }
-        let reply_errors = counter(addr, "fleet.shard.reply_errors")?;
-        if reply_errors == 0 {
-            return Err("no corrupt shard reply was ever rejected (reply_errors is 0)".into());
-        }
-        println!("coordinator rejected {reply_errors} corrupt shard replies");
-
-        let r = client(addr)
-            .request("POST", "/v1/shutdown", None)
-            .map_err(|e| format!("shutdown: {e}"))?;
-        if r.status != 200 {
-            return Err(format!("shutdown {}: {}", r.status, r.body));
-        }
-        Ok(())
-    })();
-
-    if outcome.is_err() {
-        let _ = client(addr).request("POST", "/v1/shutdown", None);
+    // Ladder bookkeeping: every degradation counter fired, nothing was
+    // lost.
+    if fleet.counter("fleet.jobs.failed")? != 0 {
+        return Err("jobs were lost under chaos (fleet.jobs.failed != 0)".into());
     }
-    serving
-        .join()
-        .map_err(|_| "serving thread panicked".to_owned())?
-        .map_err(|e| format!("fleet run: {e}"))?;
-    outcome?;
+    let quarantined = fleet.controller().quarantined_shards();
+    if quarantined != 1 {
+        return Err(format!(
+            "expected exactly 1 quarantined shard, have {quarantined}"
+        ));
+    }
+    let reply_errors = fleet.counter("fleet.shard.reply_errors")?;
+    if reply_errors == 0 {
+        return Err("no corrupt shard reply was ever rejected (reply_errors is 0)".into());
+    }
+    println!("coordinator rejected {reply_errors} corrupt shard replies");
 
-    let _ = std::fs::remove_dir_all(&journal_root);
+    fleet.finish()?;
     println!(
-        "chaos gate OK: crash-looped shard quarantined with live failover, rotten checkpoints \
+        "chaos: crash-looped shard quarantined with live failover, rotten checkpoints \
          quarantined down the fallback ladder, and an 8-cell sweep under aggressive disk+response \
          chaos lost zero jobs and gathered byte-identically"
     );
     Ok(())
-}
-
-fn main() -> ExitCode {
-    if let Some(code) = harness::maybe_run_shard() {
-        return code;
-    }
-    match run_gate() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("chaos gate failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

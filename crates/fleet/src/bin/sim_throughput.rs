@@ -6,9 +6,7 @@
 //! document `BENCH_sim_throughput.json` is written at the repository root
 //! and carries, per workload, the ops/sec of both configurations, the
 //! telemetry overhead, and a per-phase breakdown extracted from the
-//! `ctrl.span.*` / `sim.span.*` summaries of the unified registry — plus a
-//! `fleet_submit` figure: end-to-end jobs/sec for trivial specs pushed
-//! through a live coordinator over real shard processes.
+//! `ctrl.span.*` / `sim.span.*` summaries of the unified registry.
 //!
 //! The process exits non-zero when the aggregate telemetry-on overhead
 //! exceeds the budget (default 5%) **or** any workload's telemetry-off
@@ -23,21 +21,15 @@
 //!
 //! Wall-clock times are the minimum over `BARYON_BENCH_REPEATS` runs
 //! (default 3): the minimum is the standard noise-robust estimator for
-//! "how fast can this go", which is what an overhead gate needs. The
-//! `fleet_submit` figure is informational (no floor): it measures control
-//! plane plus scheduling latency across process boundaries, which varies
-//! with host load far more than the in-process simulator does.
+//! "how fast can this go", which is what an overhead gate needs.
 
 use baryon_bench::spec::RunSpec;
 use baryon_core::checkpoint::atomic_write;
 use baryon_core::metrics::RunResult;
-use baryon_fleet::coordinator::{Fleet, FleetConfig};
-use baryon_fleet::harness;
-use baryon_serve::client::Client;
-use baryon_sim::json::{self, Json};
+use baryon_sim::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The profiling matrix: one workload per access-pattern family, paired
 /// with its regression floor (minimum telemetry-off ops/sec).
@@ -58,10 +50,6 @@ const WORKLOADS: [(&str, f64); 4] = [
 const SCALE: u64 = 1024;
 const INSTS: u64 = 200_000;
 const WARMUP: u64 = 40_000;
-
-/// Fleet submit figure: how many trivial jobs, over how many shards.
-const FLEET_JOBS: usize = 32;
-const FLEET_SHARDS: usize = 2;
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -214,144 +202,12 @@ fn run_timed_checkpointed(
     ))
 }
 
-fn fleet_get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-            if let Json::U64(n) = v {
-                Some(*n)
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
-}
-
-fn fleet_get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-            if let Json::Str(s) = v {
-                Some(s.as_str())
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
-}
-
-/// The `fleet_submit` figure: wall-clock jobs/sec for trivial single-run
-/// specs pushed end to end through a live coordinator — submit, QoS
-/// admission, hash-routing, dispatch over HTTP to a real shard process,
-/// execution, poll-back, settle. Measures the control plane, not the
-/// simulator.
-fn fleet_submit_figure() -> Result<Json, String> {
-    let journal_root = std::env::temp_dir().join(format!(
-        "baryon-sim-throughput-fleet-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&journal_root);
-    let launcher = harness::self_launcher(2, FLEET_JOBS.max(16))
-        .map_err(|e| format!("fleet launcher: {e}"))?;
-    let fleet = Fleet::bind(
-        FleetConfig {
-            port: 0,
-            shards: FLEET_SHARDS,
-            workers_per_shard: 2,
-            shard_queue_depth: FLEET_JOBS.max(16),
-            queue_cap: FLEET_JOBS.max(16),
-            // The whole burst comes from one client; admission control is
-            // not what this figure measures.
-            max_in_flight_per_client: FLEET_JOBS,
-            journal_root: journal_root.clone(),
-        },
-        launcher,
-    )
-    .map_err(|e| format!("fleet bind: {e}"))?;
-    let addr = fleet.local_addr();
-    let serving = std::thread::spawn(move || fleet.run());
-    let client = Client::new(addr).read_timeout(Duration::from_secs(30));
-
-    // Trivial spec: the cheapest meaningful run, so wall time is
-    // dominated by coordination rather than simulation.
-    let trivial = RunSpec {
-        workload: "ycsb-a".to_owned(),
-        controller: "simple".to_owned(),
-        insts: 2_000,
-        warmup: 500,
-        scale: SCALE,
-        seed: 42,
-        mlp: 1,
-        telemetry: false,
-        threads: 1,
-    }
-    .to_json()
-    .render();
-
-    let outcome = (|| -> Result<f64, String> {
-        let t = Instant::now();
-        let mut ids = Vec::with_capacity(FLEET_JOBS);
-        for _ in 0..FLEET_JOBS {
-            let r = client
-                .request("POST", "/v1/jobs", Some(&trivial))
-                .map_err(|e| format!("fleet submit: {e}"))?;
-            if r.status != 202 {
-                return Err(format!("fleet submit {}: {}", r.status, r.body));
-            }
-            let doc = json::parse(&r.body).map_err(|e| format!("202 body: {e}"))?;
-            ids.push(fleet_get_u64(&doc, "id").ok_or("202 body has no id")?);
-        }
-        let deadline = Instant::now() + Duration::from_secs(120);
-        for id in ids {
-            loop {
-                let r = client
-                    .request("GET", &format!("/v1/jobs/{id}"), None)
-                    .map_err(|e| format!("fleet poll: {e}"))?;
-                let doc = json::parse(&r.body).map_err(|e| format!("status body: {e}"))?;
-                match fleet_get_str(&doc, "state") {
-                    Some("done") => break,
-                    Some("failed") => return Err(format!("fleet job {id} failed: {}", r.body)),
-                    _ => {}
-                }
-                if Instant::now() > deadline {
-                    return Err(format!("fleet job {id} did not finish: {}", r.body));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        Ok(t.elapsed().as_secs_f64() * 1e6)
-    })();
-
-    let _ = client.request("POST", "/v1/shutdown", None);
-    serving
-        .join()
-        .map_err(|_| "fleet serving thread panicked".to_owned())?
-        .map_err(|e| format!("fleet run: {e}"))?;
-    let _ = std::fs::remove_dir_all(&journal_root);
-    let wall_us = outcome?;
-    let jobs_per_sec = FLEET_JOBS as f64 / (wall_us / 1e6);
-    println!(
-        "fleet_submit  {FLEET_JOBS} trivial jobs over {FLEET_SHARDS} shards: {jobs_per_sec:.1} jobs/s"
-    );
-    Ok(Json::obj([
-        ("shards", Json::from(FLEET_SHARDS as u64)),
-        ("jobs", Json::from(FLEET_JOBS as u64)),
-        ("wall_us", Json::from(wall_us)),
-        ("jobs_per_sec", Json::from(jobs_per_sec)),
-    ]))
-}
-
 fn out_path() -> PathBuf {
     // crates/fleet -> repository root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim_throughput.json")
 }
 
 fn main() -> ExitCode {
-    // This binary doubles as its own fleet shard for the `fleet_submit`
-    // section (re-invoked with `--shard`).
-    if let Some(code) = harness::maybe_run_shard() {
-        return code;
-    }
     let budget_pct = env_f64("BARYON_BENCH_MAX_OVERHEAD_PCT", 5.0);
     let repeats = env_u64("BARYON_BENCH_REPEATS", 3).max(1);
     let floor_scale = env_f64("BARYON_BENCH_FLOOR_SCALE", 1.0).max(0.0);
@@ -480,16 +336,6 @@ fn main() -> ExitCode {
         ("result_matches", Json::Bool(true)),
     ]);
 
-    // Control-plane throughput: trivial jobs through a live coordinator
-    // over real shard processes.
-    let fleet_doc = match fleet_submit_figure() {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("sim_throughput: fleet_submit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     let aggregate_pct = overhead_pct(total_off_us, total_on_us);
     let pass = aggregate_pct <= budget_pct && floor_failures.is_empty();
     let doc = Json::obj([
@@ -504,7 +350,6 @@ fn main() -> ExitCode {
         ("aggregate_overhead_pct", Json::from(aggregate_pct)),
         ("pass", Json::from(pass)),
         ("checkpoint", checkpoint_doc),
-        ("fleet_submit", fleet_doc),
         ("workloads", Json::Arr(rows)),
     ]);
 

@@ -493,7 +493,7 @@ fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
                 Ok(accepted) => match json::parse(&accepted.body)
                     .ok()
                     .as_ref()
-                    .and_then(|doc| get_u64(doc, "id"))
+                    .and_then(|doc| doc.get("id").and_then(Json::as_u64))
                 {
                     Some(remote) => Some(remote),
                     None => {
@@ -635,11 +635,13 @@ fn poll_job(shared: &Arc<FleetShared>, id: u64) {
             Err(_) => continue, // shard restarting; retry next tick
         };
         let Some(record) = record else { continue };
-        let state = get_str(&record, "state").unwrap_or("");
+        let state = record.get("state").and_then(Json::as_str).unwrap_or("");
         let update: Option<CellState> = match state {
-            "done" => obj_get(&record, "result").cloned().map(CellState::Done),
+            "done" => record.get("result").cloned().map(CellState::Done),
             "failed" => Some(CellState::Failed(
-                get_str(&record, "error")
+                record
+                    .get("error")
+                    .and_then(Json::as_str)
                     .unwrap_or("shard job failed")
                     .to_owned(),
             )),
@@ -1084,15 +1086,6 @@ fn persist_slot_machine(shared: &FleetShared, machine: &SlotMachine) {
     }
 }
 
-/// A millisecond budget from the environment (tests shrink these).
-fn env_ms(name: &str, default_ms: u64) -> Duration {
-    let ms = std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_ms);
-    Duration::from_millis(ms)
-}
-
 /// `POST /v1/admin/config/stage` — validate the candidate policy and
 /// persist it into the non-active slot.
 fn admin_stage(shared: &Arc<FleetShared>, request: &Request) -> Response {
@@ -1365,10 +1358,13 @@ fn roll_shard(
     outcome
 }
 
+/// How long a rolling restart waits for a paused shard's cells to land.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Waits until the shard has no dispatched cells (the poller lands them
 /// as they finish; new dispatches requeue while the shard is paused).
 fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
-    let deadline = Instant::now() + env_ms("BARYON_FLEET_DRAIN_TIMEOUT_MS", 60_000);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
     while shard_busy(shared, index) {
         if Instant::now() >= deadline {
             return Err("drain timed out with cells still in flight".to_owned());
@@ -1401,9 +1397,12 @@ fn shard_busy(shared: &Arc<FleetShared>, index: usize) -> bool {
     false
 }
 
+/// How long a restarted shard has to answer 3 green health probes.
+const PROBE_BUDGET: Duration = Duration::from_secs(10);
+
 /// Requires 3 consecutive green health probes within the probe budget.
 fn probe_green(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
-    let deadline = Instant::now() + env_ms("BARYON_FLEET_PROBE_BUDGET_MS", 10_000);
+    let deadline = Instant::now() + PROBE_BUDGET;
     let mut green = 0;
     loop {
         let ok = Client::new(shared.shards.addr(index))
@@ -1431,6 +1430,9 @@ fn probe_green(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
 /// than racing the watchdog, yet still well under a second per shard.
 const CANARY_SPEC: &str = r#"{"workload":"ycsb-a","controller":"baryon","insts":400000,"warmup":20000,"scale":2048,"seed":1}"#;
 
+/// How long the canary run may take before the roll is declared failed.
+const CANARY_TIMEOUT: Duration = Duration::from_secs(30);
+
 fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     let client = Client::new(shared.shards.addr(index))
         .connect_timeout(Duration::from_millis(500))
@@ -1444,9 +1446,9 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     let id = json::parse(&accepted.body)
         .ok()
         .as_ref()
-        .and_then(|doc| get_u64(doc, "id"))
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
         .ok_or_else(|| "canary 202 body unreadable".to_owned())?;
-    let deadline = Instant::now() + env_ms("BARYON_FLEET_CANARY_TIMEOUT_MS", 30_000);
+    let deadline = Instant::now() + CANARY_TIMEOUT;
     loop {
         let record = client
             .request("GET", &format!("/v1/jobs/{id}"), None)
@@ -1455,12 +1457,15 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
             .and_then(|r| r.into_result().ok())
             .and_then(|r| json::parse(&r.body).ok());
         if let Some(record) = record {
-            match get_str(&record, "state") {
+            match record.get("state").and_then(Json::as_str) {
                 Some("done") => return Ok(()),
                 Some("failed") => {
                     return Err(format!(
                         "canary failed under the new config: {}",
-                        get_str(&record, "error").unwrap_or("no error detail")
+                        record
+                            .get("error")
+                            .and_then(Json::as_str)
+                            .unwrap_or("no error detail")
                     ))
                 }
                 _ => {}
@@ -1539,7 +1544,7 @@ fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
             .and_then(|r| shared.verify_reply(r).ok())
             .and_then(|r| r.into_result().ok())
             .and_then(|r| json::parse(&r.body).ok())
-            .and_then(|doc| get_str(&doc, "wire").map(str::to_owned))
+            .and_then(|doc| doc.get("wire").and_then(Json::as_str).map(str::to_owned))
             .and_then(|hex| wire::from_hex(&hex).ok())
             .and_then(|bytes| {
                 let mut reader = wire::Reader::new(&bytes);
@@ -1670,12 +1675,12 @@ fn proxy_single_stream(
             let Ok(mut doc) = json::parse(line) else {
                 return;
             };
-            match get_str(&doc, "event") {
+            match doc.get("event").and_then(Json::as_str) {
                 Some("progress") => {
                     // After a shard restart the resumed run replays from
                     // its checkpoint; drop anything at or behind what the
                     // client already saw so `ops` stays strictly monotonic.
-                    let ops = get_u64(&doc, "ops").unwrap_or(0);
+                    let ops = doc.get("ops").and_then(Json::as_u64).unwrap_or(0);
                     if ops <= *last_ops {
                         return;
                     }
@@ -1701,31 +1706,6 @@ fn proxy_single_stream(
     Ok(())
 }
 
-/// Looks up `key` in a JSON object.
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// `key` as a non-negative integer.
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        Json::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-/// `key` as a string.
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Replaces (or appends) `key` in a JSON object.
 fn set_field(doc: &mut Json, key: &str, value: Json) {
     if let Json::Obj(pairs) = doc {
@@ -1741,15 +1721,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_field_helpers() {
+    fn set_field_replaces_or_appends() {
         let mut doc = json::parse(r#"{"id":3,"state":"done","ops":42}"#).expect("valid");
-        assert_eq!(get_u64(&doc, "id"), Some(3));
-        assert_eq!(get_str(&doc, "state"), Some("done"));
-        assert_eq!(get_u64(&doc, "missing"), None);
-        assert_eq!(get_str(&doc, "id"), None, "wrong type is None");
         set_field(&mut doc, "id", Json::from(9u64));
         set_field(&mut doc, "extra", Json::Bool(true));
-        assert_eq!(get_u64(&doc, "id"), Some(9));
         assert_eq!(
             doc.render(),
             r#"{"id":9,"state":"done","ops":42,"extra":true}"#

@@ -4,77 +4,39 @@
 //! exhaustion (the 429 wins), and interactive starvation-freedom under
 //! a saturating batch backlog.
 
-use baryon_fleet::{Fleet, FleetConfig, FleetController, ShardLauncher};
-use baryon_serve::client::Client;
+use baryon_fleet::harness::GateFleet;
+use baryon_fleet::{FleetConfig, ShardLauncher};
 use baryon_sim::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn launcher(workers: usize, queue_depth: usize) -> ShardLauncher {
-    ShardLauncher {
+/// Boots a one-shard fleet whose shard is the `fleet_gate` binary in
+/// `--shard` mode.
+fn boot(tag: &str, queue_cap: usize, max_in_flight_per_client: usize) -> GateFleet {
+    let launcher = ShardLauncher {
         program: PathBuf::from(env!("CARGO_BIN_EXE_fleet_gate")),
         prefix_args: vec!["--shard".to_owned()],
-        workers,
-        queue_depth,
+        workers: 1,
+        queue_depth: 64,
         policy_path: None,
         extra_env: Vec::new(),
-    }
-}
-
-struct Harness {
-    addr: SocketAddr,
-    controller: FleetController,
-    server: Option<std::thread::JoinHandle<()>>,
-    journal_root: PathBuf,
-}
-
-impl Harness {
-    fn boot(tag: &str, cfg_queue_cap: usize, max_in_flight: usize) -> Harness {
-        let journal_root = std::env::temp_dir().join(format!(
+    };
+    let cfg = FleetConfig {
+        port: 0,
+        shards: 1,
+        workers_per_shard: 1,
+        shard_queue_depth: 64,
+        queue_cap,
+        max_in_flight_per_client,
+        journal_root: std::env::temp_dir().join(format!(
             "baryon-qos-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&journal_root);
-        let fleet = Fleet::bind(
-            FleetConfig {
-                port: 0,
-                shards: 1,
-                workers_per_shard: 1,
-                shard_queue_depth: 64,
-                queue_cap: cfg_queue_cap,
-                max_in_flight_per_client: max_in_flight,
-                journal_root: journal_root.clone(),
-            },
-            launcher(1, 64),
-        )
-        .expect("fleet boots");
-        let addr = fleet.local_addr();
-        let controller = fleet.controller();
-        let server = std::thread::spawn(move || {
-            let _ = fleet.run();
-        });
-        Harness {
-            addr,
-            controller,
-            server: Some(server),
-            journal_root,
-        }
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        let _ = Client::new(self.addr)
-            .read_timeout(Duration::from_secs(10))
-            .request("POST", "/v1/shutdown", None);
-        if let Some(server) = self.server.take() {
-            let _ = server.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.journal_root);
-    }
+        )),
+    };
+    GateFleet::boot(cfg, launcher).expect("fleet boots")
 }
 
 /// A raw HTTP exchange with custom headers (the typed client has no
@@ -141,68 +103,30 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 }
 
 fn body_id(body: &str) -> u64 {
-    let doc = json::parse(body).expect("json body");
-    match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "id")
-            .and_then(|(_, v)| match v {
-                Json::U64(n) => Some(*n),
-                _ => None,
-            })
-            .expect("id field"),
-        _ => panic!("not an object: {body}"),
-    }
+    json::parse(body)
+        .ok()
+        .and_then(|doc| doc.get("id")?.as_u64())
+        .unwrap_or_else(|| panic!("no id in {body}"))
 }
 
-fn job_state(addr: SocketAddr, id: u64) -> String {
-    let response = Client::new(addr)
-        .read_timeout(Duration::from_secs(10))
-        .request("GET", &format!("/v1/jobs/{id}"), None)
-        .expect("status fetch");
-    let doc = json::parse(&response.body).expect("json");
-    match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "state")
-            .and_then(|(_, v)| match v {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap_or_default(),
-        _ => String::new(),
-    }
-}
-
-fn await_state(addr: SocketAddr, id: u64, wanted: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let state = job_state(addr, id);
-        if state == wanted {
-            return;
-        }
-        assert!(
-            state != "failed" || wanted == "failed",
-            "job {id} failed while waiting for {wanted}"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "job {id} stuck in {state:?} waiting for {wanted:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Waits for the job to reach `wanted` (which may be `failed`).
+fn await_state(h: &GateFleet, id: u64, wanted: &str) {
+    h.await_status(id, wanted, |doc| {
+        doc.get("state").and_then(Json::as_str) == Some(wanted)
+    })
+    .unwrap_or_else(|e| panic!("job {id} never reached {wanted:?}: {e}"));
 }
 
 const RUN: &str = r#"{"workload":"ycsb-a","controller":"simple","insts":20000,"warmup":2000,"scale":2048,"seed":3}"#;
 
 #[test]
 fn quota_releases_when_a_disconnected_clients_job_settles() {
-    let h = Harness::boot("disconnect", 16, 1);
+    let h = boot("disconnect", 16, 1);
     // Pause the only shard so the first job deterministically stays in
     // flight (queued, requeueing) while we probe the quota.
-    h.controller.pause_shard(0);
+    h.controller().pause_shard(0);
     let (status, _, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "ghost")],
@@ -213,7 +137,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     // The submitting connection is gone (raw_request dropped it) — the
     // fleet must keep the job AND keep the quota slot held.
     let (status, headers, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "ghost")],
@@ -228,7 +152,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     );
     // Another client is unaffected.
     let (status, _, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "other")],
@@ -237,11 +161,11 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     assert_eq!(status, 202, "quotas are per-client: {body}");
     // Let the fleet run the ghost's job to completion; the ghost never
     // reconnects to claim it.
-    h.controller.unpause_shard(0);
-    await_state(h.addr, id, "done");
+    h.controller().unpause_shard(0);
+    await_state(&h, id, "done");
     // The slot came back without any client-side action.
     let (status, _, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "ghost")],
@@ -249,18 +173,23 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     );
     assert_eq!(status, 202, "quota released on settle: {body}");
     let released = body_id(&body);
-    await_state(h.addr, released, "done");
+    await_state(&h, released, "done");
 }
 
 #[test]
 fn quota_beats_queue_full_and_retry_after_matches_class() {
-    let h = Harness::boot("retry-after", 2, 2);
-    h.controller.pause_shard(0);
+    let h = boot("retry-after", 2, 2);
+    h.controller().pause_shard(0);
     // Client "q" fills its own quota (2 in flight).
     let mut ids = Vec::new();
     for _ in 0..2 {
-        let (status, _, body) =
-            raw_request(h.addr, "POST", "/v1/jobs", &[("x-baryon-client", "q")], RUN);
+        let (status, _, body) = raw_request(
+            h.addr(),
+            "POST",
+            "/v1/jobs",
+            &[("x-baryon-client", "q")],
+            RUN,
+        );
         assert_eq!(status, 202, "{body}");
         ids.push(body_id(&body));
     }
@@ -271,7 +200,7 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     for i in 0..20 {
         let client = format!("filler-{i}");
         let (status, headers, body) = raw_request(
-            h.addr,
+            h.addr(),
             "POST",
             "/v1/jobs",
             &[("x-baryon-client", &client)],
@@ -295,14 +224,19 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     assert!(saw_queue_full, "the interactive queue never filled");
     // Simultaneous exhaustion: client "q" is over quota AND the queue is
     // full — the quota answer (429) wins, with the class's retry hint.
-    let (status, headers, body) =
-        raw_request(h.addr, "POST", "/v1/jobs", &[("x-baryon-client", "q")], RUN);
+    let (status, headers, body) = raw_request(
+        h.addr(),
+        "POST",
+        "/v1/jobs",
+        &[("x-baryon-client", "q")],
+        RUN,
+    );
     assert_eq!(status, 429, "quota beats queue_full: {body}");
     assert!(body.contains("quota_exceeded"), "{body}");
     assert_eq!(header(&headers, "retry-after"), Some("1"));
     // The same collision on the batch class advertises the batch hint.
     let (status, headers, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "q"), ("x-baryon-class", "batch")],
@@ -318,7 +252,7 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     // the full interactive queue must not reject batch admission outright.
     let grid = r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"insts":20000,"warmup":2000,"scale":2048,"seed":3}}"#;
     let (status, _, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "bulk")],
@@ -327,22 +261,22 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     assert_eq!(status, 202, "batch level admits independently: {body}");
     ids.push(body_id(&body));
     // Drain everything so shutdown is clean.
-    h.controller.unpause_shard(0);
+    h.controller().unpause_shard(0);
     for id in ids {
-        await_state(h.addr, id, "done");
+        await_state(&h, id, "done");
     }
 }
 
 #[test]
 fn interactive_stays_live_under_saturating_batch_load() {
-    let h = Harness::boot("starvation", 256, 64);
+    let h = boot("starvation", 256, 64);
     // A standing batch backlog: several grids, all cells on the single
     // one-worker shard.
     let grid = r#"{"grid":{"workloads":["ycsb-a","pr.twi"],"controllers":["simple","baryon"],"insts":100000,"warmup":10000,"scale":1024,"seed":7}}"#;
     let mut batch_ids = Vec::new();
     for _ in 0..2 {
         let (status, _, body) = raw_request(
-            h.addr,
+            h.addr(),
             "POST",
             "/v1/jobs",
             &[("x-baryon-client", "bulk")],
@@ -353,7 +287,7 @@ fn interactive_stays_live_under_saturating_batch_load() {
     }
     // A latecomer interactive job must overtake the backlog.
     let (status, _, body) = raw_request(
-        h.addr,
+        h.addr(),
         "POST",
         "/v1/jobs",
         &[("x-baryon-client", "human")],
@@ -361,16 +295,21 @@ fn interactive_stays_live_under_saturating_batch_load() {
     );
     assert_eq!(status, 202, "{body}");
     let interactive = body_id(&body);
-    await_state(h.addr, interactive, "done");
+    await_state(&h, interactive, "done");
     let unfinished_batches = batch_ids
         .iter()
-        .filter(|&&id| job_state(h.addr, id) != "done")
+        .filter(|&&id| {
+            let doc = h
+                .request("GET", &format!("/v1/jobs/{id}"), None, 200)
+                .expect("status fetch");
+            doc.get("state").and_then(Json::as_str) != Some("done")
+        })
         .count();
     assert!(
         unfinished_batches > 0,
         "the batch backlog drained before the interactive job — grow the grid"
     );
     for id in batch_ids {
-        await_state(h.addr, id, "done");
+        await_state(&h, id, "done");
     }
 }

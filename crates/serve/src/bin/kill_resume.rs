@@ -132,19 +132,6 @@ fn await_done(addr: SocketAddr) -> Result<String, String> {
     }
 }
 
-/// Extracts the rendered `"result"` object from a job-status body.
-fn result_of(status_body: &str) -> Result<String, String> {
-    let doc = parse(status_body).map_err(|e| format!("status is not JSON ({e}): {status_body}"))?;
-    let Json::Obj(pairs) = doc else {
-        return Err(format!("status is not an object: {status_body}"));
-    };
-    pairs
-        .into_iter()
-        .find(|(k, _)| k == "result")
-        .map(|(_, v)| v.render())
-        .ok_or_else(|| format!("no result in {status_body}"))
-}
-
 fn run_gate() -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("baryon-kill-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -196,7 +183,11 @@ fn run_gate() -> Result<(), String> {
     let (mut child, addr) = spawn_server(&dir)?;
     let outcome = (|| {
         let status = await_done(addr)?;
-        let recovered = result_of(&status)?;
+        let recovered = parse(&status)
+            .map_err(|e| format!("status is not JSON ({e}): {status}"))?
+            .get("result")
+            .map(Json::render)
+            .ok_or_else(|| format!("no result in {status}"))?;
         if recovered != golden {
             return Err(format!(
                 "recovered result diverged from the uninterrupted run\n  golden:    {golden}\n  recovered: {recovered}"

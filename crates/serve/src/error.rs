@@ -133,21 +133,12 @@ impl ApiError {
     /// known code.
     pub fn from_body(body: &str) -> Option<ApiError> {
         let doc = json::parse(body).ok()?;
-        let Json::Obj(top) = doc else { return None };
-        let Json::Obj(err) = &top.iter().find(|(k, _)| k == "error")?.1 else {
-            return None;
-        };
-        let field =
-            |name: &str| -> Option<&Json> { err.iter().find(|(k, _)| k == name).map(|(_, v)| v) };
-        let Json::Str(code) = field("code")? else {
-            return None;
-        };
-        let Json::Str(message) = field("message")? else {
-            return None;
-        };
+        let err = doc.get("error")?;
+        let code = err.get("code")?.as_str()?;
+        let message = err.get("message")?.as_str()?;
         Some(ApiError {
             code: ErrorCode::parse(code)?,
-            message: message.clone(),
+            message: message.to_owned(),
         })
     }
 }

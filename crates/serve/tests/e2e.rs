@@ -47,27 +47,15 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread exits");
 }
 
-fn get_field<'a>(doc: &'a Json, key: &str) -> &'a Json {
-    let Json::Obj(pairs) = doc else {
-        panic!("expected an object, got {}", doc.render());
-    };
-    &pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("missing field {key} in {}", doc.render()))
-        .1
-}
-
 fn submit(addr: SocketAddr, body: &str) -> ClientResponse {
     client::request(addr, "POST", "/v1/jobs", Some(body)).expect("submit reachable")
 }
 
 fn job_id(response: &ClientResponse) -> u64 {
     let doc = parse(&response.body).expect("submit response is JSON");
-    match get_field(&doc, "id") {
-        Json::U64(id) => *id,
-        other => panic!("id should be an integer, got {}", other.render()),
-    }
+    doc.get("id")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("id should be an integer: {}", response.body))
 }
 
 /// Polls a job until it leaves the queue/running states.
@@ -78,7 +66,7 @@ fn await_job(addr: SocketAddr, id: u64) -> Json {
             .expect("status reachable");
         assert_eq!(r.status, 200, "{}", r.body);
         let doc = parse(&r.body).expect("status is JSON");
-        let Json::Str(state) = get_field(&doc, "state") else {
+        let Some(Json::Str(state)) = doc.get("state") else {
             panic!("state should be a string: {}", r.body);
         };
         match state.as_str() {
@@ -105,8 +93,8 @@ fn served_result_is_byte_identical_to_direct_run() {
     let id = job_id(&accepted);
 
     let status = await_job(addr, id);
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let served = get_field(&status, "result").render();
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
+    let served = status.get("result").map(Json::render);
 
     // The same spec executed in-process must produce the same bytes.
     let spec = RunSpec {
@@ -121,13 +109,18 @@ fn served_result_is_byte_identical_to_direct_run() {
         threads: 1,
     };
     let direct = spec.execute().expect("spec runs").to_json().render();
-    assert_eq!(served, direct, "served result diverged from direct run");
+    assert_eq!(
+        served,
+        Some(direct),
+        "served result diverged from direct run"
+    );
 
     // Wall time is reported once finished.
-    match get_field(&status, "wall_us") {
-        Json::U64(_) => {}
-        other => panic!("wall_us should be an integer, got {}", other.render()),
-    }
+    assert!(
+        matches!(status.get("wall_us"), Some(Json::U64(_))),
+        "wall_us should be an integer: {}",
+        status.render()
+    );
 
     shutdown(addr, handle);
 }
@@ -166,8 +159,8 @@ fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
     for id in &accepted {
         let status = await_job(addr, *id);
         assert_eq!(
-            get_field(&status, "state"),
-            &Json::from("done"),
+            status.get("state"),
+            Some(&Json::from("done")),
             "job {id}: {}",
             status.render()
         );
@@ -181,14 +174,14 @@ fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
 
     let metrics = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     let doc = parse(&metrics.body).expect("metrics are JSON");
-    let counters = get_field(&doc, "counters");
+    let counters = doc.get("counters").expect("metrics carry counters");
     assert_eq!(
-        get_field(counters, "serve.jobs.rejected"),
-        &Json::from(rejected as u64)
+        counters.get("serve.jobs.rejected"),
+        Some(&Json::from(rejected as u64))
     );
     assert_eq!(
-        get_field(counters, "serve.jobs.done"),
-        &Json::from(accepted.len() as u64)
+        counters.get("serve.jobs.done"),
+        Some(&Json::from(accepted.len() as u64))
     );
 
     shutdown(addr, handle);
@@ -216,7 +209,7 @@ fn queued_jobs_can_be_cancelled_and_never_run() {
     let slow_id = job_id(&slow);
     await_job(addr, slow_id);
     let status = await_job(addr, id);
-    assert_eq!(get_field(&status, "state"), &Json::from("cancelled"));
+    assert_eq!(status.get("state"), Some(&Json::from("cancelled")));
 
     // Cancelling a finished job is a conflict; unknown jobs are 404.
     let r = client::request(addr, "POST", &format!("/v1/jobs/{slow_id}/cancel"), None)
@@ -239,15 +232,15 @@ fn grid_jobs_return_row_major_results() {
     );
     assert_eq!(r.status, 202, "{}", r.body);
     let status = await_job(addr, job_id(&r));
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let Json::Arr(results) = get_field(get_field(&status, "result"), "results") else {
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
+    let Some(Json::Arr(results)) = status.get("result").and_then(|r| r.get("results")) else {
         panic!("grid result should hold an array: {}", status.render());
     };
     assert_eq!(results.len(), 2);
-    assert_eq!(get_field(&results[0], "controller"), &Json::from("simple"));
-    assert_eq!(get_field(&results[1], "controller"), &Json::from("dice"));
+    assert_eq!(results[0].get("controller"), Some(&Json::from("simple")));
+    assert_eq!(results[1].get("controller"), Some(&Json::from("dice")));
     for cell in results {
-        assert_eq!(get_field(cell, "workload"), &Json::from("ycsb-a"));
+        assert_eq!(cell.get("workload"), Some(&Json::from("ycsb-a")));
     }
 
     shutdown(addr, handle);
@@ -283,8 +276,9 @@ fn protocol_errors_are_typed() {
     assert_eq!(r.status, 200);
     let doc = parse(&r.body).expect("metrics are JSON");
     assert_eq!(
-        get_field(get_field(&doc, "counters"), "serve.workers.total"),
-        &Json::from(1u64)
+        doc.get("counters")
+            .and_then(|c| c.get("serve.workers.total")),
+        Some(&Json::from(1u64))
     );
 
     shutdown(addr, handle);
@@ -308,12 +302,12 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     // The oversized job is failed by the watchdog, with a timeout reason.
     let status = await_job(addr, job_id(&stuck));
     assert_eq!(
-        get_field(&status, "state"),
-        &Json::from("failed"),
+        status.get("state"),
+        Some(&Json::from("failed")),
         "{}",
         status.render()
     );
-    let Json::Str(error) = get_field(&status, "error") else {
+    let Some(Json::Str(error)) = status.get("error") else {
         panic!("failed job should carry an error: {}", status.render());
     };
     assert!(error.contains("deadline exceeded"), "{error}");
@@ -321,25 +315,22 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     // The worker survived the timeout and completed the queued job.
     let status = await_job(addr, job_id(&quick));
     assert_eq!(
-        get_field(&status, "state"),
-        &Json::from("done"),
+        status.get("state"),
+        Some(&Json::from("done")),
         "{}",
         status.render()
     );
 
     let metrics = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     let doc = parse(&metrics.body).expect("metrics are JSON");
-    let counters = get_field(&doc, "counters");
+    let counters = doc.get("counters").expect("metrics carry counters");
     assert_eq!(
-        get_field(counters, "serve.jobs.timed_out"),
-        &Json::from(1u64)
+        counters.get("serve.jobs.timed_out"),
+        Some(&Json::from(1u64))
     );
-    assert_eq!(get_field(counters, "serve.jobs.failed"), &Json::from(1u64));
-    assert_eq!(get_field(counters, "serve.jobs.done"), &Json::from(1u64));
-    assert_eq!(
-        get_field(counters, "serve.jobs.panicked"),
-        &Json::from(0u64)
-    );
+    assert_eq!(counters.get("serve.jobs.failed"), Some(&Json::from(1u64)));
+    assert_eq!(counters.get("serve.jobs.done"), Some(&Json::from(1u64)));
+    assert_eq!(counters.get("serve.jobs.panicked"), Some(&Json::from(0u64)));
 
     shutdown(addr, handle);
 }
@@ -412,13 +403,13 @@ fn events_stream_delivers_monotonic_progress_then_end() {
     let mut progress_events = 0usize;
     for (i, line) in lines.iter().enumerate() {
         let doc = parse(line).expect("event line is JSON");
-        let Json::Str(event) = get_field(&doc, "event") else {
+        let Some(Json::Str(event)) = doc.get("event") else {
             panic!("event should be a string: {line}");
         };
         match event.as_str() {
             "progress" => {
                 progress_events += 1;
-                let Json::U64(ops) = get_field(&doc, "ops") else {
+                let Some(Json::U64(ops)) = doc.get("ops") else {
                     panic!("ops should be an integer: {line}");
                 };
                 assert!(
@@ -429,7 +420,7 @@ fn events_stream_delivers_monotonic_progress_then_end() {
             }
             "end" => {
                 assert_eq!(i, lines.len() - 1, "end must be the final event");
-                let Json::Str(state) = get_field(&doc, "state") else {
+                let Some(Json::Str(state)) = doc.get("state") else {
                     panic!("state should be a string: {line}");
                 };
                 assert_eq!(state, "done", "{line}");
@@ -455,7 +446,7 @@ fn events_stream_delivers_monotonic_progress_then_end() {
         let run = RunSpec::from_json(&doc).expect("valid spec");
         run.execute().expect("runs").to_json().render()
     };
-    assert_eq!(get_field(&status, "result").render(), direct);
+    assert_eq!(status.get("result").map(Json::render), Some(direct));
     shutdown(addr, handle);
 }
 
@@ -480,7 +471,7 @@ fn wire_metrics_reconstruct_the_registry_exactly() {
         .expect("wire metrics reachable");
     assert_eq!(wire_doc.status, 200, "{}", wire_doc.body);
     let doc = parse(&wire_doc.body).expect("wire envelope is JSON");
-    let Json::Str(hex) = get_field(&doc, "wire") else {
+    let Some(Json::Str(hex)) = doc.get("wire") else {
         panic!("wire should be a hex string: {}", wire_doc.body);
     };
     let bytes = baryon_sim::wire::from_hex(hex).expect("valid hex");

@@ -41,17 +41,6 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread exits");
 }
 
-fn get_field<'a>(doc: &'a Json, key: &str) -> &'a Json {
-    let Json::Obj(pairs) = doc else {
-        panic!("expected an object, got {}", doc.render());
-    };
-    &pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("missing field {key} in {}", doc.render()))
-        .1
-}
-
 fn await_job(addr: SocketAddr, id: u64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
@@ -59,7 +48,7 @@ fn await_job(addr: SocketAddr, id: u64) -> Json {
             .expect("status reachable");
         assert_eq!(r.status, 200, "{}", r.body);
         let doc = parse(&r.body).expect("status is JSON");
-        let Json::Str(state) = get_field(&doc, "state") else {
+        let Some(Json::Str(state)) = doc.get("state") else {
             panic!("state should be a string: {}", r.body);
         };
         match state.as_str() {
@@ -101,8 +90,9 @@ fn finished_jobs_survive_restart() {
     let accepted = submit(addr, &spec_body);
     assert_eq!(accepted.status, 202, "{}", accepted.body);
     let status = await_job(addr, 1);
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let result = get_field(&status, "result").render();
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
+    let result = status.get("result").map(Json::render);
+    assert!(result.is_some(), "done job has a result");
     shutdown(addr, handle);
 
     // Second incarnation, same journal directory.
@@ -110,9 +100,9 @@ fn finished_jobs_survive_restart() {
     let r = client::request(addr, "GET", "/v1/jobs/1", None).expect("status reachable");
     assert_eq!(r.status, 200, "{}", r.body);
     let doc = parse(&r.body).expect("status is JSON");
-    assert_eq!(get_field(&doc, "state"), &Json::from("done"));
+    assert_eq!(doc.get("state"), Some(&Json::from("done")));
     assert_eq!(
-        get_field(&doc, "result").render(),
+        doc.get("result").map(Json::render),
         result,
         "journaled result changed across restart"
     );
@@ -163,14 +153,14 @@ fn unstarted_and_interrupted_jobs_recover() {
     for id in [1, 2] {
         let status = await_job(addr, id);
         assert_eq!(
-            get_field(&status, "state"),
-            &Json::from("done"),
+            status.get("state"),
+            Some(&Json::from("done")),
             "job {id}: {}",
             status.render()
         );
         assert_eq!(
-            get_field(&status, "result").render(),
-            golden,
+            status.get("result").map(Json::render),
+            Some(golden.clone()),
             "job {id} diverged from the uninterrupted golden"
         );
     }

@@ -58,6 +58,32 @@ impl Json {
         Json::Arr(items.into_iter().collect())
     }
 
+    /// The value of object key `key`; `None` when absent or when `self`
+    /// is not an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer (`U64`, or an `I64` ≥ 0).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(n) => Some(*n),
+            Json::I64(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -544,6 +570,24 @@ mod tests {
         assert_eq!(Json::from(i64::MIN).render(), "-9223372036854775808");
         assert_eq!(Json::from(1.5).render(), "1.5");
         assert_eq!(Json::from("hi").render(), "\"hi\"");
+    }
+
+    #[test]
+    fn accessors_read_typed_fields() {
+        let doc = parse(r#"{"id":3,"state":"done","ops":42,"neg":-1}"#).expect("valid");
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(doc.get("missing"), None);
+        // A wrong type is None.
+        assert_eq!(doc.get("id").and_then(Json::as_str), None);
+        assert_eq!(doc.get("state").and_then(Json::as_u64), None);
+        // A non-negative I64 is a u64; a negative one is not.
+        assert_eq!(Json::I64(7).as_u64(), Some(7));
+        assert_eq!(doc.get("neg").and_then(Json::as_u64), None);
+        assert_eq!(Json::I64(-5).as_u64(), None);
+        // A non-object has no fields.
+        assert_eq!(Json::arr([Json::from(1u64)]).get("id"), None);
+        assert_eq!(Json::from("id").get("id"), None);
     }
 
     #[test]

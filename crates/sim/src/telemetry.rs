@@ -410,11 +410,8 @@ impl Registry {
     /// this gives the round-trip `snapshot_from_json(parse(render(to_json())))
     /// == snapshot()`.
     pub fn snapshot_from_json(doc: &Json) -> Option<BTreeMap<String, Value>> {
-        let Json::Obj(sections) = doc else {
-            return None;
-        };
         let section = |name: &str| -> Option<&Vec<(String, Json)>> {
-            match &sections.iter().find(|(k, _)| k == name)?.1 {
+            match doc.get(name)? {
                 Json::Obj(pairs) => Some(pairs),
                 _ => None,
             }
@@ -427,12 +424,8 @@ impl Registry {
             out.insert(k.clone(), Value::Gauge(num_f64(v)?));
         }
         for (k, v) in section("summaries")? {
-            let Json::Obj(fields) = v else {
-                return None;
-            };
-            let field = |name: &str| -> Option<&Json> {
-                fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-            };
+            // A non-object summary has no fields, so the lookups below fail.
+            let field = |name: &str| v.get(name);
             out.insert(
                 k.clone(),
                 Value::Summary {

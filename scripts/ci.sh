@@ -59,40 +59,40 @@ cargo test -q -p baryon-bench --release --offline --test parallel_determinism
 echo "==> differential golden gate (10 controllers x 17 workloads)"
 cargo test -q -p baryon-bench --release --offline --test differential_golden
 
-# Fleet determinism gate: boot a coordinator over 3 real shard
-# processes, submit a batched grid sweep, SIGKILL one shard while cells
-# are in flight, and require the supervisor to restart it and the
-# gathered result to be byte-identical to a single-process run of the
-# same spec. Also asserts the event stream's progress is monotonic and
-# /v1/metrics reports every shard under its shard<i>. namespace.
-echo "==> fleet kill-mid-sweep determinism gate (3 shards)"
+# Fleet gate: one binary, three scenarios, each on a fresh coordinator
+# over 3 real shard processes (the binary re-invoked as its own shards).
+#  - kill: SIGKILL a shard while a batched grid sweep is in flight; the
+#    supervisor must restart it, the gathered result must be byte-identical
+#    to a single-process run, the event stream's progress monotonic, and
+#    /v1/metrics must report every shard under its shard<i>. namespace.
+#  - rollout: a bad policy is refused (400 invalid_config); a degraded-
+#    but-valid one (1 ms job deadline) committed mid-sweep must fail its
+#    canary and auto-roll back (409 rollout_failed, slot marked bad, zero
+#    lost jobs, byte-identical gather); a benign policy must commit (its
+#    generation stamped into results and every shard's metrics) and roll
+#    back clean; a commit that fails mid-roll must quarantine the results
+#    that landed during it and re-dispatch them byte-identical.
+#  - chaos: seeded fault injection on every shard (torn/failed journal
+#    appends, silent post-write corruption, read flips, fsync failures,
+#    post-CRC response flips) plus a forced crash loop: one shard must be
+#    quarantined with singles failing over, rotten checkpoint rotations
+#    must be quarantined down the fallback ladder to a cold run, and an
+#    8-cell sweep over the degraded fleet must lose zero jobs and gather
+#    byte-identical to a fault-free run. To reproduce a failure exactly,
+#    re-run with the same seed and rates, e.g.
+#      BARYON_CHAOS_SEED=42 BARYON_CHAOS_CORRUPT_PPM=20000 ... fleet_gate chaos
+#    (every BARYON_CHAOS_*_PPM knob honors the environment; all default
+#    off outside this scenario, so nothing else in CI sees injected faults).
+# Run one scenario with `fleet_gate <kill|rollout|chaos>`.
+echo "==> fleet gate (kill, rollout, chaos; 3 shards each)"
 cargo run --release -p baryon-fleet --bin fleet_gate --offline
 
-# Config-rollout gate: on a live 3-shard fleet with a grid sweep in
-# flight, stage a degraded-but-valid policy (1 ms job deadline) and
-# commit. The rolling restart's canary must fail on the first shard and
-# the fleet must roll itself back: 409 rollout_failed, the slot marked
-# bad, zero lost jobs, and the gathered grid byte-identical to a
-# single-process run. Then a benign policy must commit cleanly (the
-# generation propagating into results and every shard's metrics) and
-# roll back to the unstamped baseline.
-echo "==> fleet config-rollout auto-rollback gate (3 shards)"
-cargo run --release -p baryon-fleet --bin rollout_gate --offline
-
-# Fleet chaos gate: the degradation ladder under aggressive seeded fault
-# injection on every shard (torn/failed journal appends, silent
-# post-write corruption, read flips, fsync failures, post-CRC response
-# flips) plus a forced crash loop. One shard must exhaust its crash-loop
-# budget and be quarantined with singles failing over, rotten checkpoint
-# rotations must be quarantined down the fallback ladder to a cold run,
-# and an 8-cell sweep over the degraded fleet must lose zero jobs and
-# gather byte-identical to a fault-free run. To reproduce a failure
-# exactly, re-run with the seed and rates it printed, e.g.
-#   BARYON_CHAOS_SEED=42 BARYON_CHAOS_CORRUPT_PPM=20000 ... chaos_gate
-# (every BARYON_CHAOS_*_PPM knob honors the environment; all default off
-# outside this gate, so nothing else in CI sees injected faults).
-echo "==> fleet chaos gate (hostile disk + lying shard, 3 shards)"
-cargo run --release -p baryon-fleet --bin chaos_gate --offline
+# Benchmark gate: the perf/ workspace's fmt, clippy and tests, then a
+# quick traced run of all four workloads. Its fleet-trivial workload
+# checks that every job through a live 2-shard fleet is accepted,
+# finishes, and equals the in-process execute.
+echo "==> benchmark package (perf/check.sh)"
+bash perf/check.sh
 
 # Throughput + telemetry overhead gate: the sim-throughput harness runs
 # a small workload matrix twice (spans off / spans on) and fails when
@@ -100,9 +100,7 @@ cargo run --release -p baryon-fleet --bin chaos_gate --offline
 # with BARYON_BENCH_MAX_OVERHEAD_PCT) or when any workload drops below
 # its per-workload ops/sec regression floor (scale the floors with
 # BARYON_BENCH_FLOOR_SCALE on slow hosts). It also refreshes the
-# profiling document BENCH_sim_throughput.json at the repository root,
-# now including the fleet_submit control-plane figure (jobs/sec for
-# trivial specs through a live 2-shard coordinator).
+# profiling document BENCH_sim_throughput.json at the repository root.
 echo "==> bench: sim-throughput (regression floors + telemetry overhead gate)"
 cargo run --release -p baryon-fleet --bin sim_throughput --offline
 
