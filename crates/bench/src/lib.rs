@@ -14,7 +14,6 @@
 //! * `BARYON_BENCH_SCALE` — capacity divisor vs the paper (default 256),
 //! * `BARYON_BENCH_QUICK` — if set, runs a reduced workload set.
 
-pub mod batch;
 pub mod spec;
 
 use baryon_core::config::BaryonConfig;

@@ -303,32 +303,16 @@ impl RunSpec {
         every: u64,
         keep: usize,
     ) -> Result<RunResult, String> {
-        self.execute_observed(every, Some((dir, keep)), &mut |_| {})
+        self.execute_observed_with(every, Some((dir, keep)), &mut |_| {}, None)
     }
 
     /// Runs the spec to completion incrementally, invoking `observe` with
     /// a [`RunProgress`] snapshot every `every` trace operations (and once
-    /// more when the run completes). When `checkpoints` is
-    /// `Some((dir, keep))`, a rotating checkpoint is also written at each
-    /// step. Observation and checkpointing only watch the run — the
-    /// result is bit-identical to [`RunSpec::execute`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`RunSpec::validate`] error. A checkpoint that cannot
-    /// be written (full or faulty disk) is logged and skipped — the run
-    /// itself never fails over its recovery accelerator.
-    pub fn execute_observed(
-        &self,
-        every: u64,
-        checkpoints: Option<(&Path, usize)>,
-        observe: &mut dyn FnMut(RunProgress),
-    ) -> Result<RunResult, String> {
-        self.execute_observed_with(every, checkpoints, observe, None)
-    }
-
-    /// [`RunSpec::execute_observed`] under a fleet policy (see
-    /// [`RunSpec::execute_with`]).
+    /// more when the run completes), under an optional fleet policy (see
+    /// [`RunSpec::execute_with`]). When `checkpoints` is `Some((dir,
+    /// keep))`, a rotating checkpoint is also written at each step.
+    /// Observation and checkpointing only watch the run — the result is
+    /// bit-identical to [`RunSpec::execute_with`].
     ///
     /// # Errors
     ///
@@ -561,26 +545,64 @@ impl JobSpec {
         }
     }
 
-    /// Executes the job, producing its result document: a bare
-    /// [`RunResult::to_json`] for a single run, or
-    /// `{"results": [...]}` (row-major) for a grid.
+    /// The job's individual runs, row-major: one for a run, the grid's
+    /// expansion for a grid.
+    pub fn cells(&self) -> Vec<RunSpec> {
+        match self {
+            JobSpec::Run(spec) => vec![spec.clone()],
+            JobSpec::Grid(grid) => grid.expand(),
+        }
+    }
+
+    /// Assembles the job's result document from per-cell result documents
+    /// (`cells[i]` is [`JobSpec::cells`]`()[i]`'s, in any completion
+    /// order): a run's result is its one cell's document, a grid's is
+    /// `{"results": [...]}` in row-major order. Every execution path —
+    /// [`JobSpec::execute`], a serving worker, a fleet gather — builds the
+    /// document here, so they agree byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// A slot count that does not match the job's cells, or the first cell
+    /// still missing its result (named by index, workload and controller).
+    pub fn gather(&self, cells: Vec<Option<Json>>) -> Result<Json, String> {
+        let specs = self.cells();
+        if cells.len() != specs.len() {
+            return Err(format!(
+                "gather got {} slots for {} cells",
+                cells.len(),
+                specs.len()
+            ));
+        }
+        let mut docs = Vec::with_capacity(cells.len());
+        for (i, (slot, spec)) in cells.into_iter().zip(&specs).enumerate() {
+            docs.push(slot.ok_or_else(|| {
+                format!(
+                    "cell {i} ({} / {}) has no result",
+                    spec.workload, spec.controller
+                )
+            })?);
+        }
+        Ok(match self {
+            JobSpec::Run(_) => docs.pop().expect("a run has exactly one cell"),
+            JobSpec::Grid(_) => Json::obj([("results", Json::Arr(docs))]),
+        })
+    }
+
+    /// Executes the job's cells in row-major order and gathers their
+    /// documents ([`JobSpec::gather`]).
     ///
     /// # Errors
     ///
     /// Returns the first cell's error message; cells are validated up
     /// front so partial grids are not silently dropped.
     pub fn execute(&self) -> Result<Json, String> {
-        match self {
-            JobSpec::Run(spec) => spec.execute().map(|r| r.to_json()),
-            JobSpec::Grid(grid) => {
-                let results = grid
-                    .expand()
-                    .iter()
-                    .map(|cell| cell.execute().map(|r| r.to_json()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Json::obj([("results", Json::Arr(results))]))
-            }
-        }
+        let docs = self
+            .cells()
+            .iter()
+            .map(|cell| cell.execute().map(|r| Some(r.to_json())))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.gather(docs)
     }
 }
 
@@ -860,5 +882,54 @@ mod tests {
         // The echo names both axes.
         let echo = job.to_json().render();
         assert!(echo.contains("\"workloads\""), "{echo}");
+    }
+
+    fn three_by_two() -> GridSpec {
+        GridSpec {
+            workloads: vec!["ycsb-a".into(), "pr.twi".into()],
+            controllers: vec!["simple".into(), "dice".into(), "unison".into()],
+            base: RunSpec {
+                insts: 2_000,
+                warmup: 500,
+                scale: 2048,
+                ..RunSpec::default()
+            },
+        }
+    }
+
+    #[test]
+    fn out_of_order_gather_matches_execute() {
+        for job in [
+            JobSpec::Grid(three_by_two()),
+            JobSpec::Run(three_by_two().expand().remove(1)),
+        ] {
+            let golden = job.execute().expect("job runs");
+            // Execute cells out of order (as fleet shards would) and gather.
+            let cells = job.cells();
+            let mut slots: Vec<Option<Json>> = vec![None; cells.len()];
+            for (i, cell) in cells.iter().enumerate().rev() {
+                slots[i] = Some(cell.execute().expect("cell runs").to_json());
+            }
+            let gathered = job.gather(slots).expect("complete");
+            assert_eq!(gathered.render(), golden.render());
+        }
+    }
+
+    #[test]
+    fn gather_reports_missing_cells_and_wrong_arity() {
+        let job = JobSpec::Grid(three_by_two());
+        let mut slots: Vec<Option<Json>> = vec![Some(Json::Null); 6];
+        slots[4] = None;
+        let err = job.gather(slots).expect_err("missing cell");
+        assert!(err.contains("cell 4 (pr.twi / dice)"), "{err}");
+        let err = job.gather(vec![]).expect_err("wrong arity");
+        assert!(err.contains("0 slots"), "{err}");
+        let run = JobSpec::Run(RunSpec::default());
+        let err = run.gather(vec![None]).expect_err("missing run");
+        assert!(err.contains("cell 0"), "{err}");
+        let err = run
+            .gather(vec![Some(Json::Null); 2])
+            .expect_err("wrong arity");
+        assert!(err.contains("2 slots for 1 cells"), "{err}");
     }
 }

@@ -1,11 +1,12 @@
 //! The fleet coordinator: one front-door HTTP server over N shards.
 //!
 //! The coordinator owns no simulation code. It admits jobs (per-client
-//! quotas, two-level QoS queue), hash-routes single runs onto shards,
-//! scatters grid sweeps cell-by-cell across every shard, polls shard-local
-//! jobs to completion, gathers batch results deterministically, proxies
-//! event streams, and merges every shard's full-fidelity wire metrics into
-//! one fleet-wide registry under `shard<i>.` namespaces.
+//! quotas, two-level QoS queue) as lists of cells ([`crate::router`]),
+//! dispatches each cell to its home shard (a single run's one cell is
+//! hash-routed; a grid's cells round-robin across every shard), polls
+//! shard-local jobs to completion, gathers results deterministically,
+//! proxies event streams, and merges every shard's full-fidelity wire
+//! metrics into one fleet-wide registry under `shard<i>.` namespaces.
 //!
 //! Supervision is the shard set's ([`crate::shard::ShardSet`]): a killed
 //! or wedged shard is restarted on its own journal directory, replays its
@@ -16,9 +17,8 @@
 
 use crate::config::{CommitError, RollbackError, Slot, SlotMachine, StageError};
 use crate::quota::{Class, ClientQuotas, QosQueue, QueueError};
-use crate::router::{CellState, FleetJob, FleetJobKind, JobBoard};
+use crate::router::{CellState, FleetJob, JobBoard};
 use crate::shard::{ShardLauncher, ShardSet};
-use baryon_bench::batch::BatchPlan;
 use baryon_bench::spec::JobSpec;
 use baryon_compress::crc::crc32;
 use baryon_core::checkpoint::atomic_write;
@@ -27,7 +27,7 @@ use baryon_serve::client::{Client, ClientError, ClientResponse};
 use baryon_serve::error::ErrorCode;
 use baryon_serve::http::{read_request, ChunkedWriter, Request, Response, CRC_HEADER};
 use baryon_serve::job::{CancelOutcome, JobState};
-use baryon_serve::progress::ProgressBoard;
+use baryon_serve::progress::{end_stream, events_target, send_event, EventCursor, ProgressBoard};
 use baryon_sim::json::{self, Json};
 use baryon_sim::telemetry::Registry;
 use baryon_sim::wire;
@@ -123,12 +123,11 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One unit of dispatch: a whole single run (`cell == None`) or one batch
-/// cell.
+/// One unit of dispatch: one cell of a fleet job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkItem {
     fleet_id: u64,
-    cell: Option<usize>,
+    cell: usize,
 }
 
 /// State shared by the accept loop, handlers, dispatchers, the poller,
@@ -439,28 +438,16 @@ fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
     if job.state.is_settled() {
         return; // cancelled while queued
     }
-    let (shard, spec_body) = match (&job.kind, item.cell) {
-        (FleetJobKind::Single { shard, cell }, None) => {
-            if !matches!(cell, CellState::Pending) {
-                return; // duplicate item; already dispatched
-            }
-            (*shard, job.spec.to_json().render())
-        }
-        (FleetJobKind::Batch { plan, cells }, Some(index)) => {
-            if !matches!(cells.get(index), Some(CellState::Pending)) {
-                return;
-            }
-            let cell = &plan.cells[index];
-            (
-                cell.shard,
-                JobSpec::Run(cell.spec.clone()).to_json().render(),
-            )
-        }
-        _ => return, // malformed item; nothing sensible to do
+    let Some(cell) = job.cells.get(item.cell) else {
+        return; // malformed item; nothing sensible to do
     };
+    if cell.state != CellState::Pending {
+        return; // duplicate item; already dispatched
+    }
+    let spec_body = cell.spec.to_json().render();
     // A quarantined shard never comes back on its own; deterministically
     // probe forward from the routed index for a shard still in rotation.
-    let Some(shard) = first_in_rotation(shared, shard) else {
+    let Some(shard) = first_in_rotation(shared, cell.home) else {
         // Every shard is quarantined; keep the item in play — an
         // operator rollout is the one path back.
         requeue(shared, class, item);
@@ -517,14 +504,8 @@ fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
         requeue(shared, class, item);
         return;
     };
-    shared.apply_update(item.fleet_id, |job| match (&mut job.kind, item.cell) {
-        (FleetJobKind::Single { cell, .. }, None) => {
-            *cell = CellState::Dispatched { shard, remote };
-        }
-        (FleetJobKind::Batch { cells, .. }, Some(index)) => {
-            cells[index] = CellState::Dispatched { shard, remote };
-        }
-        _ => {}
+    shared.apply_update(item.fleet_id, |job| {
+        job.cells[item.cell].state = CellState::Dispatched { shard, remote };
     });
 }
 
@@ -553,15 +534,8 @@ fn first_in_rotation(shared: &Arc<FleetShared>, preferred: usize) -> Option<usiz
 }
 
 fn fail_cell(shared: &Arc<FleetShared>, item: &WorkItem, reason: &str) {
-    let reason = reason.to_owned();
-    shared.apply_update(item.fleet_id, |job| match (&mut job.kind, item.cell) {
-        (FleetJobKind::Single { cell, .. }, None) => {
-            *cell = CellState::Failed(reason.clone());
-        }
-        (FleetJobKind::Batch { cells, .. }, Some(index)) => {
-            cells[index] = CellState::Failed(reason.clone());
-        }
-        _ => {}
+    shared.apply_update(item.fleet_id, |job| {
+        job.cells[item.cell].state = CellState::Failed(reason.to_owned());
     });
 }
 
@@ -581,22 +555,8 @@ fn poll_job(shared: &Arc<FleetShared>, id: u64) {
     let Some(job) = shared.board.get(id) else {
         return;
     };
-    let dispatched: Vec<(Option<usize>, usize, u64)> = match &job.kind {
-        FleetJobKind::Single { cell, .. } => match cell {
-            CellState::Dispatched { shard, remote } => vec![(None, *shard, *remote)],
-            _ => Vec::new(),
-        },
-        FleetJobKind::Batch { cells, .. } => cells
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| match c {
-                CellState::Dispatched { shard, remote } => Some((Some(i), *shard, *remote)),
-                _ => None,
-            })
-            .collect(),
-    };
     let before_done = job.cells_done();
-    for (cell_index, shard, remote) in dispatched {
+    for (cell, shard, remote) in job.dispatched(None) {
         let response = Client::new(shared.shards.addr(shard))
             .connect_timeout(Duration::from_millis(500))
             .read_timeout(Duration::from_secs(5))
@@ -606,17 +566,8 @@ fn poll_job(shared: &Arc<FleetShared>, id: u64) {
                 // The shard genuinely lost the job (journal-less restart
                 // or eviction) — put the cell back in play.
                 shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
-                let item = WorkItem {
-                    fleet_id: id,
-                    cell: cell_index,
-                };
-                shared.apply_update(id, |job| match (&mut job.kind, cell_index) {
-                    (FleetJobKind::Single { cell, .. }, None) => *cell = CellState::Pending,
-                    (FleetJobKind::Batch { cells, .. }, Some(i)) => {
-                        cells[i] = CellState::Pending;
-                    }
-                    _ => {}
-                });
+                let item = WorkItem { fleet_id: id, cell };
+                shared.apply_update(id, |job| job.cells[cell].state = CellState::Pending);
                 if shared.queue.requeue(job.class, (job.class, item)).is_err() {
                     fail_cell(shared, &item, "shard lost the job and queue is closed");
                 }
@@ -654,24 +605,20 @@ fn poll_job(shared: &Arc<FleetShared>, id: u64) {
         // result landing after resolution scanned the board sees 0 here
         // and settles directly — no cell can stay staged forever.
         shared.apply_update(id, |job| {
-            let update = match update.clone() {
+            job.cells[cell].state = match update {
                 CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
                     CellState::Staged(doc)
                 }
                 other => other,
             };
-            match (&mut job.kind, cell_index) {
-                (FleetJobKind::Single { cell, .. }, None) => *cell = update,
-                (FleetJobKind::Batch { cells, .. }, Some(i)) => cells[i] = update,
-                _ => {}
-            }
         });
     }
-    // Publish batch progress when cells landed this pass (settled jobs
-    // already published their final snapshot in apply_update).
+    // Publish grid progress when cells landed this pass (settled jobs —
+    // every single run whose cell landed — already published their final
+    // snapshot in apply_update).
     if let Some(job) = shared.board.get(id) {
         let (done, total) = (job.cells_done(), job.cells_total());
-        if total > 1 && done > before_done && !job.state.is_settled() {
+        if done > before_done && !job.state.is_settled() {
             shared.progress.publish(id, |jp| {
                 jp.phase = "measure";
                 jp.cells_done = done;
@@ -709,32 +656,14 @@ fn fail_over_shard(shared: &Arc<FleetShared>, index: usize) {
         let Some(job) = shared.board.get(id) else {
             continue;
         };
-        let stranded: Vec<Option<usize>> = match &job.kind {
-            FleetJobKind::Single { cell, .. } => match cell {
-                CellState::Dispatched { shard, .. } if *shard == index => vec![None],
-                _ => Vec::new(),
-            },
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| match c {
-                    CellState::Dispatched { shard, .. } if *shard == index => Some(Some(i)),
-                    _ => None,
-                })
-                .collect(),
-        };
-        for cell_index in stranded {
+        for (cell, ..) in job.dispatched(Some(index)) {
             // Re-check under the board lock: the poller may have landed
             // the cell between the snapshot above and now.
             let mut moved = false;
             shared.apply_update(id, |job| {
-                let cell = match (&mut job.kind, cell_index) {
-                    (FleetJobKind::Single { cell, .. }, None) => cell,
-                    (FleetJobKind::Batch { cells, .. }, Some(i)) => &mut cells[i],
-                    _ => return,
-                };
-                if matches!(cell, CellState::Dispatched { shard, .. } if *shard == index) {
-                    *cell = CellState::Pending;
+                let cell = &mut job.cells[cell];
+                if matches!(cell.state, CellState::Dispatched { shard, .. } if shard == index) {
+                    cell.state = CellState::Pending;
                     moved = true;
                 }
             });
@@ -742,10 +671,7 @@ fn fail_over_shard(shared: &Arc<FleetShared>, index: usize) {
                 continue;
             }
             shared.metrics.failover.fetch_add(1, Ordering::Relaxed);
-            let item = WorkItem {
-                fleet_id: id,
-                cell: cell_index,
-            };
+            let item = WorkItem { fleet_id: id, cell };
             if shared.queue.requeue(job.class, (job.class, item)).is_err() {
                 fail_cell(shared, &item, "shard quarantined and dispatch queue closed");
             }
@@ -786,21 +712,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<FleetShared>) {
             return;
         }
     }
-}
-
-/// `GET /v1/jobs/<id>/events` → the fleet job ID; anything else → `None`.
-fn events_target(request: &Request) -> Option<u64> {
-    if request.method != "GET" {
-        return None;
-    }
-    let path = request
-        .path
-        .split_once('?')
-        .map_or(request.path.as_str(), |(p, _)| p);
-    path.strip_prefix("/v1/jobs/")?
-        .strip_suffix("/events")?
-        .parse()
-        .ok()
 }
 
 fn route(shared: &Arc<FleetShared>, request: &Request) -> Response {
@@ -956,56 +867,13 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
         )
         .header("Retry-After", &class.retry_after_secs().to_string());
     }
-    // Plan the dispatch: singles hash-route whole; grids scatter
-    // cell-by-cell across every shard.
-    let (kind, items) = match &spec {
-        JobSpec::Run(_) => (
-            FleetJobKind::Single {
-                shard: 0, // patched below once the fleet ID is known
-                cell: CellState::Pending,
-            },
-            Vec::new(),
-        ),
-        JobSpec::Grid(grid) => {
-            let plan = BatchPlan::scatter(grid, shared.shards.len());
-            let n = plan.cells.len();
-            (
-                FleetJobKind::Batch {
-                    plan,
-                    cells: vec![CellState::Pending; n],
-                },
-                (0..n).collect(),
-            )
-        }
-    };
-    let single = items.is_empty();
-    let id = shared.board.admit(spec, client.clone(), class, kind);
-    if single {
-        // The route is a function of the fleet ID, which admit assigned.
-        let shard = crate::shard::route(id, shared.shards.len());
-        shared.board.update(id, |job| {
-            if let FleetJobKind::Single { shard: s, .. } = &mut job.kind {
-                *s = shard;
-            }
-        });
-    }
-    let work: Vec<WorkItem> = if single {
-        vec![WorkItem {
-            fleet_id: id,
-            cell: None,
-        }]
-    } else {
-        items
-            .into_iter()
-            .map(|cell| WorkItem {
-                fleet_id: id,
-                cell: Some(cell),
-            })
-            .collect()
-    };
-    let cells_total = work.len() as u64;
-    for (i, item) in work.iter().enumerate() {
-        match shared.queue.push(class, (class, *item)) {
+    let cells_total = spec.runs();
+    let id = shared
+        .board
+        .admit(spec, client.clone(), class, shared.shards.len());
+    for cell in 0..cells_total {
+        let item = WorkItem { fleet_id: id, cell };
+        match shared.queue.push(class, (class, item)) {
             Ok(()) => {}
             Err(e) => {
                 // Roll the whole job back; cells already queued will find
@@ -1021,7 +889,7 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
                         503,
                         ErrorCode::QueueFull,
                         format!(
-                            "{} queue full after {i} of {cells_total} cells, retry later",
+                            "{} queue full after {cell} of {cells_total} cells, retry later",
                             class.as_str()
                         ),
                     ),
@@ -1043,7 +911,7 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
             ("id", Json::from(id)),
             ("state", Json::from("queued")),
             ("class", Json::from(class.as_str())),
-            ("cells", Json::from(cells_total)),
+            ("cells", Json::from(cells_total as u64)),
         ]),
     )
 }
@@ -1227,14 +1095,11 @@ fn resolve_staged_results(shared: &Arc<FleetShared>, accept: bool) {
             .quarantined_results
             .fetch_add(resolution.count, Ordering::Relaxed);
     }
-    for (id, cell_index) in resolution.requeue {
+    for (id, cell) in resolution.requeue {
         let Some(job) = shared.board.get(id) else {
             continue;
         };
-        let item = WorkItem {
-            fleet_id: id,
-            cell: cell_index,
-        };
+        let item = WorkItem { fleet_id: id, cell };
         if shared.queue.requeue(job.class, (job.class, item)).is_err() {
             fail_cell(shared, &item, "staged result quarantined and queue closed");
         }
@@ -1374,27 +1239,16 @@ fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether any unsettled fleet job has a cell dispatched on the shard.
+/// Whether any unsettled fleet job has a cell dispatched on the shard —
+/// where the cell actually landed, not its home: failover can dispatch a
+/// cell off its home shard.
 fn shard_busy(shared: &Arc<FleetShared>, index: usize) -> bool {
-    for id in shared.board.active_ids() {
-        let Some(job) = shared.board.get(id) else {
-            continue;
-        };
-        let busy = match &job.kind {
-            // Match on where the cell actually landed, not the routed
-            // shard — failover can dispatch a single off its home route.
-            FleetJobKind::Single { cell, .. } => {
-                matches!(cell, CellState::Dispatched { shard, .. } if *shard == index)
-            }
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .any(|c| matches!(c, CellState::Dispatched { shard, .. } if *shard == index)),
-        };
-        if busy {
-            return true;
-        }
-    }
-    false
+    shared.board.active_ids().into_iter().any(|id| {
+        shared
+            .board
+            .get(id)
+            .is_some_and(|job| job.dispatched(Some(index)).next().is_some())
+    })
 }
 
 /// How long a restarted shard has to answer 3 green health probes.
@@ -1573,82 +1427,41 @@ fn shutdown(shared: &Arc<FleetShared>) -> Response {
     )
 }
 
-/// How many empty 500 ms waits between `alive` heartbeats on an idle
-/// fleet event stream.
-const STREAM_HEARTBEAT_WAITS: u32 = 20;
-
-/// Streams a fleet job's events. Batch jobs synthesize `progress` from
-/// the coordinator's cell bookkeeping; single runs proxy the executing
-/// shard's own event stream with the shard-local ID rewritten to the
-/// fleet ID (and a monotonicity filter so a shard restart's replayed
-/// early events never reach the client out of order).
+/// Streams a fleet job's events. A grid synthesizes `progress` from the
+/// coordinator's cell bookkeeping; a dispatched single run proxies the
+/// shard it was dispatched to ([`FleetJob::stream_target`]) with the
+/// shard-local ID rewritten to the fleet ID (and a monotonicity filter so
+/// a shard restart's replayed early events never reach the client out of
+/// order).
 fn stream_fleet_events(
     shared: &Arc<FleetShared>,
     id: u64,
     writer: &mut TcpStream,
 ) -> io::Result<()> {
     let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
-    let mut last_seq = 0;
+    let mut cursor = EventCursor::new(id);
     let mut last_ops = 0;
-    let mut idle_waits = 0;
     loop {
         let Some(job) = shared.board.get(id) else {
-            return end_event(stream, id, "evicted");
+            return end_stream(stream, id, "evicted");
         };
         if job.state.is_settled() {
-            return end_event(stream, id, job.state.as_str());
+            return end_stream(stream, id, job.state.as_str());
         }
         // A dispatched single run proxies the shard's stream directly —
         // live simulator progress, not 100 ms polling granularity.
-        if let FleetJobKind::Single {
-            shard,
-            cell: CellState::Dispatched { remote, .. },
-        } = &job.kind
-        {
-            proxy_single_stream(shared, id, *shard, *remote, &mut stream, &mut last_ops)?;
+        if let Some((shard, remote)) = job.stream_target() {
+            proxy_single_stream(shared, id, shard, remote, &mut stream, &mut last_ops)?;
             // The shard's stream ended (job settled there, or the shard
             // died mid-run). Loop: the poller lands the result, or the
             // restarted shard's resumed job re-opens above.
             std::thread::sleep(Duration::from_millis(100));
             continue;
         }
-        // Queued singles and batches watch the coordinator's own board.
-        if let Some(p) = shared.progress.get(id) {
-            if p.seq > last_seq {
-                last_seq = p.seq;
-                idle_waits = 0;
-                let mut line = p.to_json(id).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-        if shared
-            .progress
-            .wait_past(id, last_seq, Duration::from_millis(500))
-            .is_none()
-        {
-            idle_waits += 1;
-            if idle_waits >= STREAM_HEARTBEAT_WAITS {
-                idle_waits = 0;
-                let mut line =
-                    Json::obj([("event", Json::from("alive")), ("id", Json::from(id))]).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
+        // Queued singles and grids watch the coordinator's own board.
+        cursor.send_progress(&shared.progress, &mut stream)?;
+        cursor.wait(&shared.progress, &mut stream)?;
     }
-}
-
-fn end_event(mut stream: ChunkedWriter<&mut TcpStream>, id: u64, state: &str) -> io::Result<()> {
-    let mut line = Json::obj([
-        ("event", Json::from("end")),
-        ("id", Json::from(id)),
-        ("state", Json::from(state)),
-    ])
-    .render();
-    line.push('\n');
-    stream.chunk(line.as_bytes())?;
-    stream.finish()
 }
 
 /// Follows one shard-local event stream, forwarding `progress` and
@@ -1690,9 +1503,7 @@ fn proxy_single_stream(
                 _ => return, // `end` (and anything unknown) is not forwarded
             }
             set_field(&mut doc, "id", Json::from(fleet_id));
-            let mut text = doc.render();
-            text.push('\n');
-            if let Err(e) = stream.chunk(text.as_bytes()) {
+            if let Err(e) = send_event(stream, &doc) {
                 write_error = Some(e);
             }
         });

@@ -4,10 +4,11 @@
 //! processes, each with its own journal directory), giving the simulator
 //! a horizontally scaled, crash-tolerant job service:
 //!
-//! * **Routing** — single runs hash onto one shard
-//!   ([`shard::route`]); grid sweeps scatter cell-by-cell across every
-//!   shard ([`baryon_bench::batch::BatchPlan`]) and gather back into the
-//!   byte-identical single-process result document.
+//! * **Routing** — every fleet job is a list of cells ([`router`]): a
+//!   single run's one cell hashes onto one shard ([`shard::route`]); a
+//!   grid's cells round-robin across every shard and gather back
+//!   ([`baryon_bench::spec::JobSpec::gather`]) into the byte-identical
+//!   single-process result document.
 //! * **QoS** — per-client in-flight quotas (`429 quota_exceeded`) and a
 //!   two-level interactive/batch dispatch queue with per-class bounds and
 //!   `Retry-After` ([`quota`]).
@@ -18,7 +19,7 @@
 //! * **Streaming** — `GET /v1/jobs/<id>/events` at the coordinator
 //!   proxies the executing shard's chunked progress stream for single
 //!   runs (IDs rewritten, monotonicity preserved across restarts) and
-//!   synthesizes cell-completion progress for batches.
+//!   synthesizes cell-completion progress for grids.
 //! * **Telemetry** — `GET /v1/metrics` merges every shard's
 //!   full-fidelity wire registry into one fleet document under
 //!   `shard<i>.` namespaces, alongside the coordinator's own `fleet.*`

@@ -1,18 +1,17 @@
 //! The coordinator's job board: fleet-wide job records and their
 //! dispatch state.
 //!
-//! The board is the coordinator's single source of truth. A fleet job is
-//! either a **single run** — hash-routed whole onto one shard
-//! ([`crate::shard::route`]) — or a **batch** (grid sweep), scattered
-//! cell-by-cell across every shard via
-//! [`baryon_bench::batch::BatchPlan`] and gathered back into the exact
-//! document a single-process execution would have produced. Dispatchers
-//! move work from `Pending` to `Dispatched{shard, remote}`; the poller
-//! moves it to `Done`/`Failed` as shard-local jobs settle, and a batch
-//! settles when its last cell does.
+//! The board is the coordinator's single source of truth. Every fleet job
+//! is a list of cells, one [`RunSpec`] each, in [`JobSpec::cells`] order:
+//! a single run is a job with exactly one cell, homed on the shard its
+//! fleet ID hash-routes to ([`crate::shard::route`]); a grid sweep has one
+//! cell per grid point, cell `i` homed on shard `i % shards`. Dispatchers
+//! move cells from `Pending` to `Dispatched{shard, remote}`; the poller
+//! moves them to `Done`/`Failed` as shard-local jobs settle, and the job
+//! settles when its cells do — gathered by [`JobSpec::gather`] into the
+//! exact document a single-process execution would have produced.
 
-use baryon_bench::batch::BatchPlan;
-use baryon_bench::spec::JobSpec;
+use baryon_bench::spec::{JobSpec, RunSpec};
 use baryon_serve::job::JobState;
 use baryon_sim::json::Json;
 use std::collections::HashMap;
@@ -21,8 +20,7 @@ use std::sync::Mutex;
 
 use crate::quota::Class;
 
-/// Where one unit of shard work (a whole single run, or one batch cell)
-/// stands.
+/// Where one cell stands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellState {
     /// Waiting for a dispatcher.
@@ -47,30 +45,16 @@ pub enum CellState {
     Failed(String),
 }
 
-impl CellState {
-    /// True once the cell can no longer change.
-    pub fn is_settled(&self) -> bool {
-        matches!(self, CellState::Done(_) | CellState::Failed(_))
-    }
-}
-
-/// What kind of fleet job this is and its dispatch bookkeeping.
+/// One unit of shard work: one run of a fleet job.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FleetJobKind {
-    /// One run, routed whole onto `shard`.
-    Single {
-        /// The shard chosen by [`crate::shard::route`].
-        shard: usize,
-        /// Its dispatch state.
-        cell: CellState,
-    },
-    /// A grid sweep scattered across the fleet.
-    Batch {
-        /// The deterministic scatter plan.
-        plan: BatchPlan,
-        /// Per-cell state, indexed row-major like the plan.
-        cells: Vec<CellState>,
-    },
+pub struct Cell {
+    /// The run a shard executes.
+    pub spec: RunSpec,
+    /// The shard it is routed to; dispatch probes forward from here when
+    /// that shard is quarantined.
+    pub home: usize,
+    /// Its dispatch state.
+    pub state: CellState,
 }
 
 /// One fleet job.
@@ -90,14 +74,14 @@ pub struct FleetJob {
     pub result: Option<Json>,
     /// The failure reason once `Failed`.
     pub error: Option<String>,
-    /// Dispatch bookkeeping.
-    pub kind: FleetJobKind,
+    /// The job's cells, in [`JobSpec::cells`] order.
+    pub cells: Vec<Cell>,
 }
 
 impl FleetJob {
     /// The status document (`GET /v1/jobs/<id>` at the coordinator).
     /// Mirrors the serve layer's job document, plus fleet-only fields
-    /// (`class`, `client`, and batch cell progress).
+    /// (`class`, `client`, and a grid's cell progress).
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("id".to_owned(), Json::from(self.id)),
@@ -106,13 +90,9 @@ impl FleetJob {
             ("client".to_owned(), Json::from(self.client.as_str())),
             ("spec".to_owned(), self.spec.to_json()),
         ];
-        if let FleetJobKind::Batch { cells, .. } = &self.kind {
-            let done = cells
-                .iter()
-                .filter(|c| matches!(c, CellState::Done(_)))
-                .count();
-            pairs.push(("cells_total".to_owned(), Json::from(cells.len() as u64)));
-            pairs.push(("cells_done".to_owned(), Json::from(done as u64)));
+        if let JobSpec::Grid(_) = self.spec {
+            pairs.push(("cells_total".to_owned(), Json::from(self.cells_total())));
+            pairs.push(("cells_done".to_owned(), Json::from(self.cells_done())));
         }
         if let Some(result) = &self.result {
             pairs.push(("result".to_owned(), result.clone()));
@@ -123,32 +103,42 @@ impl FleetJob {
         Json::Obj(pairs)
     }
 
-    /// Whether any cell's result is staged behind an in-flight rollout.
-    pub fn has_staged(&self) -> bool {
-        match &self.kind {
-            FleetJobKind::Single { cell, .. } => matches!(cell, CellState::Staged(_)),
-            FleetJobKind::Batch { cells, .. } => {
-                cells.iter().any(|c| matches!(c, CellState::Staged(_)))
-            }
-        }
-    }
-
-    /// Count of settled-successful cells (1 for a done single run).
+    /// Count of settled-successful cells.
     pub fn cells_done(&self) -> u64 {
-        match &self.kind {
-            FleetJobKind::Single { cell, .. } => u64::from(matches!(cell, CellState::Done(_))),
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .filter(|c| matches!(c, CellState::Done(_)))
-                .count() as u64,
-        }
+        self.cells
+            .iter()
+            .filter(|c| matches!(c.state, CellState::Done(_)))
+            .count() as u64
     }
 
     /// Total cells (1 for a single run).
     pub fn cells_total(&self) -> u64 {
-        match &self.kind {
-            FleetJobKind::Single { .. } => 1,
-            FleetJobKind::Batch { cells, .. } => cells.len() as u64,
+        self.cells.len() as u64
+    }
+
+    /// Every dispatched cell as `(cell index, shard, remote)`, only those
+    /// on shard `on` when given.
+    pub fn dispatched(&self, on: Option<usize>) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.cells
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, c)| match c.state {
+                CellState::Dispatched { shard, remote } if on.is_none_or(|s| s == shard) => {
+                    Some((i, shard, remote))
+                }
+                _ => None,
+            })
+    }
+
+    /// The shard-local event stream a fleet event stream proxies, as
+    /// `(shard, remote)`: a dispatched single run's, on the shard it was
+    /// dispatched to (which failover may have moved off its home).
+    /// `None` for grids and undispatched runs, whose streams are built
+    /// from the board.
+    pub fn stream_target(&self) -> Option<(usize, u64)> {
+        match self.spec {
+            JobSpec::Run(_) => self.dispatched(None).next().map(|(_, s, r)| (s, r)),
+            JobSpec::Grid(_) => None,
         }
     }
 }
@@ -158,9 +148,9 @@ pub struct StagedResolution {
     /// Jobs an accept settled, with the quota slot to release exactly
     /// once per entry.
     pub released: Vec<(u64, String, Class)>,
-    /// Cells a reject returned to `Pending`; the caller must requeue each
-    /// (`None` cell index means a single run).
-    pub requeue: Vec<(u64, Option<usize>)>,
+    /// Cells a reject returned to `Pending`, as `(job, cell index)`; the
+    /// caller must requeue each.
+    pub requeue: Vec<(u64, usize)>,
     /// Staged cells resolved either way (the
     /// `fleet.config.quarantined_results` bump on a reject).
     pub count: u64,
@@ -182,9 +172,24 @@ impl JobBoard {
         }
     }
 
-    /// Admits a job (already quota-checked) and returns its fleet ID.
-    pub fn admit(&self, spec: JobSpec, client: String, class: Class, kind: FleetJobKind) -> u64 {
+    /// Admits a job (already quota-checked) over a fleet of `shards` and
+    /// returns its fleet ID. A run's one cell is homed on the shard its ID
+    /// routes to; grid cell `i` on shard `i % shards`.
+    pub fn admit(&self, spec: JobSpec, client: String, class: Class, shards: usize) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let cells = spec
+            .cells()
+            .into_iter()
+            .enumerate()
+            .map(|(i, run)| Cell {
+                spec: run,
+                home: match spec {
+                    JobSpec::Run(_) => crate::shard::route(id, shards),
+                    JobSpec::Grid(_) => i % shards,
+                },
+                state: CellState::Pending,
+            })
+            .collect();
         let job = FleetJob {
             id,
             spec,
@@ -193,7 +198,7 @@ impl JobBoard {
             state: JobState::Queued,
             result: None,
             error: None,
-            kind,
+            cells,
         };
         self.jobs
             .lock()
@@ -230,11 +235,11 @@ impl JobBoard {
     }
 
     /// Runs `apply` on the job's record under the board lock, then
-    /// derives the job-level state from its cells: any failed cell fails
-    /// the job (first failure wins), all-done completes it (a batch runs
-    /// its gather here), any dispatched cell marks it running. Returns
-    /// the `(client, class)` pair when this call settled the job — the
-    /// caller must release that quota slot exactly once.
+    /// derives the job-level state from its cells: the first failed cell
+    /// fails the job, all cells done gathers its result, any cell not
+    /// pending marks it running. Returns the `(client, class)` pair when
+    /// this call settled the job — the caller must release that quota
+    /// slot exactly once.
     pub fn update(&self, id: u64, apply: impl FnOnce(&mut FleetJob)) -> Option<(String, Class)> {
         let mut jobs = self.jobs.lock().expect("job board lock poisoned");
         let job = jobs.get_mut(&id)?;
@@ -246,45 +251,42 @@ impl JobBoard {
             // `apply` settled it directly (e.g. cancel).
             return Some((job.client.clone(), job.class));
         }
-        let settled = match &job.kind {
-            FleetJobKind::Single { cell, .. } => match cell {
-                CellState::Pending => None,
-                CellState::Dispatched { .. } | CellState::Staged(_) => {
-                    job.state = JobState::Running;
-                    None
-                }
-                CellState::Done(doc) => Some((JobState::Done, Some(doc.clone()), None)),
-                CellState::Failed(e) => Some((JobState::Failed, None, Some(e.clone()))),
-            },
-            FleetJobKind::Batch { plan, cells } => {
-                if let Some(CellState::Failed(e)) =
-                    cells.iter().find(|c| matches!(c, CellState::Failed(_)))
-                {
-                    Some((JobState::Failed, None, Some(e.clone())))
-                } else if cells.iter().all(CellState::is_settled) {
-                    let slots = cells
-                        .iter()
-                        .map(|c| match c {
-                            CellState::Done(doc) => Some(doc.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    match plan.gather(slots) {
-                        Ok(doc) => Some((JobState::Done, Some(doc), None)),
-                        Err(e) => Some((JobState::Failed, None, Some(e))),
-                    }
-                } else {
-                    if cells.iter().any(|c| !matches!(c, CellState::Pending)) {
-                        job.state = JobState::Running;
-                    }
-                    None
-                }
+        let failed = job.cells.iter().find_map(|c| match &c.state {
+            CellState::Failed(e) => Some(e.clone()),
+            _ => None,
+        });
+        let outcome = if let Some(e) = failed {
+            Err(e)
+        } else if job
+            .cells
+            .iter()
+            .all(|c| matches!(c.state, CellState::Done(_)))
+        {
+            let docs = job
+                .cells
+                .iter()
+                .map(|c| match &c.state {
+                    CellState::Done(doc) => Some(doc.clone()),
+                    _ => None,
+                })
+                .collect();
+            job.spec.gather(docs)
+        } else {
+            if job.cells.iter().any(|c| c.state != CellState::Pending) {
+                job.state = JobState::Running;
             }
+            return None;
         };
-        let (state, result, error) = settled?;
-        job.state = state;
-        job.result = result;
-        job.error = error;
+        match outcome {
+            Ok(doc) => {
+                job.state = JobState::Done;
+                job.result = Some(doc);
+            }
+            Err(e) => {
+                job.state = JobState::Failed;
+                job.error = Some(e);
+            }
+        }
         Some((job.client.clone(), job.class))
     }
 
@@ -315,7 +317,12 @@ impl JobBoard {
         let ids: Vec<u64> = {
             let jobs = self.jobs.lock().expect("job board lock poisoned");
             jobs.values()
-                .filter(|j| !j.state.is_settled() && j.has_staged())
+                .filter(|j| {
+                    !j.state.is_settled()
+                        && j.cells
+                            .iter()
+                            .any(|c| matches!(c.state, CellState::Staged(_)))
+                })
                 .map(|j| j.id)
                 .collect()
         };
@@ -325,23 +332,16 @@ impl JobBoard {
             count: 0,
         };
         for id in ids {
-            let mut touched: Vec<Option<usize>> = Vec::new();
-            let resolve =
-                |cell: &mut CellState, index: Option<usize>, touched: &mut Vec<Option<usize>>| {
-                    if let CellState::Staged(doc) = cell {
-                        touched.push(index);
-                        *cell = if accept {
+            let mut touched: Vec<usize> = Vec::new();
+            let released = self.update(id, |job| {
+                for (i, cell) in job.cells.iter_mut().enumerate() {
+                    if let CellState::Staged(doc) = &cell.state {
+                        touched.push(i);
+                        cell.state = if accept {
                             CellState::Done(doc.clone())
                         } else {
                             CellState::Pending
                         };
-                    }
-                };
-            let released = self.update(id, |job| match &mut job.kind {
-                FleetJobKind::Single { cell, .. } => resolve(cell, None, &mut touched),
-                FleetJobKind::Batch { cells, .. } => {
-                    for (i, cell) in cells.iter_mut().enumerate() {
-                        resolve(cell, Some(i), &mut touched);
                     }
                 }
             });
@@ -350,7 +350,7 @@ impl JobBoard {
                 out.released
                     .extend(released.map(|(client, class)| (id, client, class)));
             } else {
-                out.requeue.extend(touched.into_iter().map(|c| (id, c)));
+                out.requeue.extend(touched.into_iter().map(|i| (id, i)));
             }
         }
         out
@@ -378,14 +378,12 @@ impl JobBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baryon_bench::spec::{GridSpec, RunSpec};
+    use baryon_bench::spec::GridSpec;
     use baryon_serve::job::CancelOutcome;
 
-    fn single_kind() -> FleetJobKind {
-        FleetJobKind::Single {
-            shard: 0,
-            cell: CellState::Pending,
-        }
+    /// Sets cell `i`'s state.
+    fn set(board: &JobBoard, id: u64, i: usize, state: CellState) -> Option<(String, Class)> {
+        board.update(id, |j| j.cells[i].state = state)
     }
 
     fn tiny_grid() -> GridSpec {
@@ -408,66 +406,46 @@ mod tests {
             JobSpec::Run(RunSpec::default()),
             "alice".into(),
             Class::Interactive,
-            single_kind(),
+            1,
         );
         assert_eq!(board.state(id), Some(JobState::Queued));
+        assert_eq!(board.get(id).expect("job").cells.len(), 1);
 
         // Dispatch moves it to running, without settling.
-        let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Dispatched {
-                    shard: 0,
-                    remote: 7,
-                };
-            }
-        });
-        assert_eq!(settled, None);
+        let dispatched = CellState::Dispatched {
+            shard: 0,
+            remote: 7,
+        };
+        assert_eq!(set(&board, id, 0, dispatched), None);
         assert_eq!(board.state(id), Some(JobState::Running));
 
         // Completion settles it and reports the quota slot to release.
-        let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Done(Json::obj([("ok", Json::Bool(true))]));
-            }
-        });
+        let settled = set(
+            &board,
+            id,
+            0,
+            CellState::Done(Json::obj([("ok", Json::Bool(true))])),
+        );
         assert_eq!(settled, Some(("alice".into(), Class::Interactive)));
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
         assert!(job.result.is_some());
 
         // A late update cannot reopen or re-release.
-        let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Failed("late".into());
-            }
-        });
-        assert_eq!(settled, None);
+        assert_eq!(set(&board, id, 0, CellState::Failed("late".into())), None);
         assert_eq!(board.state(id), Some(JobState::Done));
     }
 
     #[test]
     fn batch_gathers_on_last_cell_and_fails_on_first_error() {
         let grid = tiny_grid();
-        let plan = BatchPlan::scatter(&grid, 2);
-        let n = plan.cells.len();
         let board = JobBoard::new();
-        let id = board.admit(
-            JobSpec::Grid(grid.clone()),
-            "bob".into(),
-            Class::Batch,
-            FleetJobKind::Batch {
-                plan: plan.clone(),
-                cells: vec![CellState::Pending; n],
-            },
-        );
+        let id = board.admit(JobSpec::Grid(grid.clone()), "bob".into(), Class::Batch, 2);
+        let n = board.get(id).expect("job").cells.len();
 
         // Finish all cells but the last; the job stays running.
         for i in 0..n - 1 {
-            let settled = board.update(id, |j| {
-                if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                    cells[i] = CellState::Done(Json::from(i as u64));
-                }
-            });
+            let settled = set(&board, id, i, CellState::Done(Json::from(i as u64)));
             assert_eq!(settled, None, "cell {i} must not settle the batch");
         }
         let doc = board.get(id).expect("job").to_json().render();
@@ -475,31 +453,20 @@ mod tests {
         assert!(doc.contains("\"cells_done\":1"), "{doc}");
 
         // The last cell settles it; the gather is in row-major order.
-        let settled = board.update(id, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[n - 1] = CellState::Done(Json::from((n - 1) as u64));
-            }
-        });
+        let settled = set(
+            &board,
+            id,
+            n - 1,
+            CellState::Done(Json::from((n - 1) as u64)),
+        );
         assert_eq!(settled, Some(("bob".into(), Class::Batch)));
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
         assert_eq!(job.result.expect("result").render(), r#"{"results":[0,1]}"#);
 
         // A failing cell fails the whole batch immediately.
-        let id2 = board.admit(
-            JobSpec::Grid(grid),
-            "bob".into(),
-            Class::Batch,
-            FleetJobKind::Batch {
-                plan,
-                cells: vec![CellState::Pending; n],
-            },
-        );
-        let settled = board.update(id2, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[0] = CellState::Failed("no such workload".into());
-            }
-        });
+        let id2 = board.admit(JobSpec::Grid(grid), "bob".into(), Class::Batch, 2);
+        let settled = set(&board, id2, 0, CellState::Failed("no such workload".into()));
         assert_eq!(settled, Some(("bob".into(), Class::Batch)));
         let job = board.get(id2).expect("job");
         assert_eq!(job.state, JobState::Failed);
@@ -508,27 +475,14 @@ mod tests {
 
     #[test]
     fn staged_cells_hold_the_gather_until_the_roll_commits() {
-        let grid = tiny_grid();
-        let plan = BatchPlan::scatter(&grid, 2);
-        let n = plan.cells.len();
         let board = JobBoard::new();
-        let id = board.admit(
-            JobSpec::Grid(grid),
-            "dana".into(),
-            Class::Batch,
-            FleetJobKind::Batch {
-                plan,
-                cells: vec![CellState::Pending; n],
-            },
-        );
+        let id = board.admit(JobSpec::Grid(tiny_grid()), "dana".into(), Class::Batch, 2);
 
         // One cell settles normally; the other finished on a mid-rollout
         // shard, so its result is staged. The batch must NOT gather yet.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[0] = CellState::Done(Json::from(0u64));
-                cells[1] = CellState::Staged(Json::from(1u64));
-            }
+            j.cells[0].state = CellState::Done(Json::from(0u64));
+            j.cells[1].state = CellState::Staged(Json::from(1u64));
         });
         assert_eq!(settled, None, "a staged cell must not settle the batch");
         assert_eq!(board.state(id), Some(JobState::Running));
@@ -551,30 +505,21 @@ mod tests {
             JobSpec::Run(RunSpec::default()),
             "erin".into(),
             Class::Interactive,
-            single_kind(),
+            1,
         );
-        board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Staged(Json::from(42u64));
-            }
-        });
+        set(&board, id, 0, CellState::Staged(Json::from(42u64)));
 
         // The roll failed: the staged result is quarantined and the cell
         // returns to Pending — no quota released, job still open.
         let resolution = board.resolve_staged(false);
         assert_eq!(resolution.count, 1);
         assert!(resolution.released.is_empty());
-        assert_eq!(resolution.requeue, vec![(id, None)]);
+        assert_eq!(resolution.requeue, vec![(id, 0)]);
         let job = board.get(id).expect("job");
         assert!(!job.state.is_settled(), "{:?}", job.state);
-        assert!(
-            matches!(
-                job.kind,
-                FleetJobKind::Single {
-                    cell: CellState::Pending,
-                    ..
-                }
-            ),
+        assert_eq!(
+            job.cells[0].state,
+            CellState::Pending,
             "cell must be re-dispatchable"
         );
 
@@ -586,12 +531,8 @@ mod tests {
     fn cancel_only_reaches_queued_jobs() {
         let board = JobBoard::new();
         assert_eq!(board.cancel(99), CancelOutcome::NotFound);
-        let id = board.admit(
-            JobSpec::Run(RunSpec::default()),
-            "c".into(),
-            Class::Interactive,
-            single_kind(),
-        );
+        let run = || JobSpec::Run(RunSpec::default());
+        let id = board.admit(run(), "c".into(), Class::Interactive, 1);
         assert_eq!(board.cancel(id), CancelOutcome::Cancelled);
         assert_eq!(board.state(id), Some(JobState::Cancelled));
         // Dispatchers skip cancelled jobs; a second cancel is too late.
@@ -600,20 +541,12 @@ mod tests {
             CancelOutcome::TooLate(JobState::Cancelled)
         );
 
-        let running = board.admit(
-            JobSpec::Run(RunSpec::default()),
-            "c".into(),
-            Class::Interactive,
-            single_kind(),
-        );
-        board.update(running, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Dispatched {
-                    shard: 0,
-                    remote: 1,
-                };
-            }
-        });
+        let running = board.admit(run(), "c".into(), Class::Interactive, 1);
+        let dispatched = CellState::Dispatched {
+            shard: 0,
+            remote: 1,
+        };
+        set(&board, running, 0, dispatched);
         assert_eq!(
             board.cancel(running),
             CancelOutcome::TooLate(JobState::Running)
@@ -623,26 +556,108 @@ mod tests {
     #[test]
     fn active_ids_lists_only_unsettled_jobs() {
         let board = JobBoard::new();
-        let a = board.admit(
-            JobSpec::Run(RunSpec::default()),
-            "x".into(),
-            Class::Interactive,
-            single_kind(),
-        );
-        let b = board.admit(
-            JobSpec::Run(RunSpec::default()),
-            "x".into(),
-            Class::Interactive,
-            single_kind(),
-        );
-        board.update(a, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Done(Json::Null);
-            }
-        });
+        let run = || JobSpec::Run(RunSpec::default());
+        let a = board.admit(run(), "x".into(), Class::Interactive, 1);
+        let b = board.admit(run(), "x".into(), Class::Interactive, 1);
+        set(&board, a, 0, CellState::Done(Json::Null));
         assert_eq!(board.active_ids(), vec![b]);
         assert_eq!(board.counts(), (2, 1));
         board.forget(b);
         assert!(board.active_ids().is_empty());
+    }
+
+    #[test]
+    fn cells_follow_the_spec_and_are_homed_by_route_or_round_robin() {
+        let board = JobBoard::new();
+        let grid = GridSpec {
+            controllers: vec!["simple".into(), "dice".into(), "unison".into()],
+            ..tiny_grid()
+        };
+        let id = board.admit(JobSpec::Grid(grid.clone()), "h".into(), Class::Batch, 4);
+        let job = board.get(id).expect("job");
+        let homes: Vec<usize> = job.cells.iter().map(|c| c.home).collect();
+        assert_eq!(
+            homes,
+            [0, 1, 2, 3, 0, 1],
+            "grid cell i is homed on i % shards"
+        );
+        let specs: Vec<RunSpec> = job.cells.iter().map(|c| c.spec.clone()).collect();
+        assert_eq!(specs, grid.expand(), "cells keep row-major order");
+
+        for _ in 0..8 {
+            let run = board.admit(
+                JobSpec::Run(RunSpec::default()),
+                "h".into(),
+                Class::Interactive,
+                4,
+            );
+            let job = board.get(run).expect("job");
+            assert_eq!(job.cells.len(), 1);
+            assert_eq!(job.cells[0].home, crate::shard::route(run, 4));
+            assert_eq!(job.cells[0].spec, RunSpec::default());
+        }
+    }
+
+    #[test]
+    fn a_failed_over_single_streams_from_the_shard_it_was_dispatched_to() {
+        let board = JobBoard::new();
+        let id = board.admit(
+            JobSpec::Run(RunSpec::default()),
+            "f".into(),
+            Class::Interactive,
+            1,
+        );
+        assert_eq!(board.get(id).expect("job").cells[0].home, 0);
+        assert_eq!(board.get(id).expect("job").stream_target(), None);
+        // Shard 0 was quarantined; failover dispatched the cell to shard 1.
+        let dispatched = CellState::Dispatched {
+            shard: 1,
+            remote: 5,
+        };
+        set(&board, id, 0, dispatched.clone());
+        let job = board.get(id).expect("job");
+        assert_eq!(job.stream_target(), Some((1, 5)));
+        assert_eq!(job.dispatched(Some(1)).collect::<Vec<_>>(), [(0, 1, 5)]);
+        assert_eq!(job.dispatched(Some(0)).count(), 0);
+
+        // A grid never proxies a shard stream, even with one cell out.
+        let grid = board.admit(JobSpec::Grid(tiny_grid()), "f".into(), Class::Batch, 2);
+        set(&board, grid, 0, dispatched);
+        assert_eq!(board.get(grid).expect("job").stream_target(), None);
+    }
+
+    #[test]
+    fn a_run_and_a_one_cell_grid_keep_their_wire_formats() {
+        let cell = || CellState::Done(Json::obj([("ipc", Json::from(3u64))]));
+        let board = JobBoard::new();
+        let grid = GridSpec {
+            workloads: vec!["ycsb-a".into()],
+            ..tiny_grid()
+        };
+        let run = board.admit(
+            JobSpec::Run(grid.expand().remove(0)),
+            "g".into(),
+            Class::Interactive,
+            2,
+        );
+        let one = board.admit(JobSpec::Grid(grid), "g".into(), Class::Batch, 2);
+        set(&board, run, 0, cell());
+        set(&board, one, 0, cell());
+
+        let run_doc = board.get(run).expect("run").to_json();
+        assert!(run_doc.get("cells_total").is_none(), "{}", run_doc.render());
+        assert!(run_doc.get("cells_done").is_none(), "{}", run_doc.render());
+        assert_eq!(
+            run_doc.get("result").expect("result").render(),
+            r#"{"ipc":3}"#
+        );
+
+        let grid_doc = board.get(one).expect("grid").to_json();
+        assert_eq!(grid_doc.get("cells_total").and_then(Json::as_u64), Some(1));
+        assert_eq!(grid_doc.get("cells_done").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            grid_doc.get("result").expect("result").render(),
+            r#"{"results":[{"ipc":3}]}"#
+        );
     }
 }

@@ -6,9 +6,16 @@
 //! and emits a chunk whenever the snapshot's sequence number moves. The
 //! board is observational only — publishing never perturbs a run, and a
 //! job with no subscribers pays one mutex lock per observation interval.
+//!
+//! The stream framing lives here too, shared by a serving process and a
+//! fleet coordinator: one JSON event object per line over chunked
+//! transfer encoding ([`send_event`]), driven by an [`EventCursor`]
+//! (`progress` events, `alive` heartbeats) and closed by [`end_stream`].
 
+use crate::http::{ChunkedWriter, Request};
 use baryon_sim::json::Json;
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -122,6 +129,124 @@ impl ProgressBoard {
     }
 }
 
+/// `GET /v1/jobs/<id>/events` → the job ID; anything else → `None`.
+pub fn events_target(request: &Request) -> Option<u64> {
+    if request.method != "GET" {
+        return None;
+    }
+    let path = request
+        .path
+        .split_once('?')
+        .map_or(request.path.as_str(), |(p, _)| p);
+    path.strip_prefix("/v1/jobs/")?
+        .strip_suffix("/events")?
+        .parse()
+        .ok()
+}
+
+/// Sends one event object as a line of a chunked event stream.
+///
+/// # Errors
+///
+/// The write failure (the streaming client hung up).
+pub fn send_event<W: Write>(stream: &mut ChunkedWriter<W>, event: &Json) -> io::Result<()> {
+    let mut line = event.render();
+    line.push('\n');
+    stream.chunk(line.as_bytes())
+}
+
+/// Sends the final `end` event carrying the job's settled state (or
+/// `evicted`) and closes the stream.
+///
+/// # Errors
+///
+/// The write failure (the streaming client hung up).
+pub fn end_stream<W: Write>(mut stream: ChunkedWriter<W>, id: u64, state: &str) -> io::Result<()> {
+    send_event(
+        &mut stream,
+        &Json::obj([
+            ("event", Json::from("end")),
+            ("id", Json::from(id)),
+            ("state", Json::from(state)),
+        ]),
+    )?;
+    stream.finish()
+}
+
+/// How many empty waits (500 ms each) between `alive` heartbeats on an
+/// otherwise idle event stream — a dead peer is noticed within ~10 s even
+/// when the job publishes nothing (e.g. still queued).
+const STREAM_HEARTBEAT_WAITS: u32 = 20;
+
+/// One event stream's position on a [`ProgressBoard`]: the last snapshot
+/// it sent and how long it has been idle.
+pub struct EventCursor {
+    id: u64,
+    last_seq: u64,
+    idle_waits: u32,
+}
+
+impl EventCursor {
+    /// A cursor for job `id` that has sent nothing yet.
+    pub fn new(id: u64) -> EventCursor {
+        EventCursor {
+            id,
+            last_seq: 0,
+            idle_waits: 0,
+        }
+    }
+
+    /// Sends the job's latest snapshot as a `progress` event if it moved
+    /// past the last one sent.
+    ///
+    /// # Errors
+    ///
+    /// The write failure (the streaming client hung up).
+    pub fn send_progress<W: Write>(
+        &mut self,
+        board: &ProgressBoard,
+        stream: &mut ChunkedWriter<W>,
+    ) -> io::Result<()> {
+        match board.get(self.id) {
+            Some(p) if p.seq > self.last_seq => {
+                self.last_seq = p.seq;
+                self.idle_waits = 0;
+                send_event(stream, &p.to_json(self.id))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Waits up to 500 ms for the job's progress to move; after
+    /// `STREAM_HEARTBEAT_WAITS` empty waits in a row, sends an `alive`
+    /// heartbeat.
+    ///
+    /// # Errors
+    ///
+    /// The write failure (the streaming client hung up).
+    pub fn wait<W: Write>(
+        &mut self,
+        board: &ProgressBoard,
+        stream: &mut ChunkedWriter<W>,
+    ) -> io::Result<()> {
+        if board
+            .wait_past(self.id, self.last_seq, Duration::from_millis(500))
+            .is_some()
+        {
+            return Ok(());
+        }
+        self.idle_waits += 1;
+        if self.idle_waits < STREAM_HEARTBEAT_WAITS {
+            return Ok(());
+        }
+        self.idle_waits = 0;
+        send_event(
+            stream,
+            &Json::obj([("event", Json::from("alive")), ("id", Json::from(self.id))]),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,5 +316,41 @@ mod tests {
         assert!(text.contains("\"ops\":500"), "{text}");
         p.phase = "done";
         assert!(p.to_json(12).render().contains("\"phase\":\"done\""));
+    }
+
+    #[test]
+    fn events_target_takes_only_event_stream_gets() {
+        let request = |method: &str, path: &str| Request {
+            method: method.into(),
+            path: path.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        assert_eq!(
+            events_target(&request("GET", "/v1/jobs/12/events")),
+            Some(12)
+        );
+        assert_eq!(
+            events_target(&request("GET", "/v1/jobs/12/events?x=1")),
+            Some(12)
+        );
+        assert_eq!(events_target(&request("POST", "/v1/jobs/12/events")), None);
+        assert_eq!(events_target(&request("GET", "/v1/jobs/12")), None);
+        assert_eq!(events_target(&request("GET", "/v1/jobs/x/events")), None);
+    }
+
+    #[test]
+    fn stream_framing_is_one_json_line_per_chunk() {
+        let mut out = Vec::new();
+        let mut stream = ChunkedWriter::begin(&mut out, 200, &[]).expect("head");
+        send_event(&mut stream, &Json::obj([("event", Json::from("alive"))])).expect("event");
+        end_stream(stream, 3, "done").expect("end");
+        let text = String::from_utf8(out).expect("utf-8");
+        let body = text.split_once("\r\n\r\n").expect("head ends").1;
+        assert_eq!(
+            body,
+            "12\r\n{\"event\":\"alive\"}\n\r\n\
+             26\r\n{\"event\":\"end\",\"id\":3,\"state\":\"done\"}\n\r\n0\r\n\r\n"
+        );
     }
 }

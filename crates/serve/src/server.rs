@@ -11,9 +11,9 @@ use crate::error::ErrorCode;
 use crate::http::{read_request, ChunkedWriter, Request, Response};
 use crate::job::{CancelOutcome, JobRecord, JobState, JobTable};
 use crate::journal::{recover, Journal, JournalEvent, RecoveredState};
-use crate::progress::ProgressBoard;
+use crate::progress::{end_stream, events_target, EventCursor, ProgressBoard};
 use crate::queue::{BoundedQueue, PushError};
-use baryon_bench::spec::{resume_from_with, GridSpec, JobSpec, RunSpec, CHECKPOINT_PREFIX};
+use baryon_bench::spec::{resume_from_with, JobSpec, RunSpec, CHECKPOINT_PREFIX};
 use baryon_core::checkpoint::Checkpoint;
 use baryon_core::policy::FleetPolicy;
 use baryon_sim::histogram::Histogram;
@@ -451,7 +451,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn execute_spec(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Json, String> {
     match spec {
         JobSpec::Run(run) => execute_run(shared, id, run),
-        JobSpec::Grid(grid) => execute_grid(shared, id, grid),
+        JobSpec::Grid(_) => execute_grid(shared, id, spec),
     }
 }
 
@@ -532,8 +532,8 @@ fn execute_run(shared: &Shared, id: u64, run: &RunSpec) -> Result<Json, String> 
 /// cell order, the result document, and the first-error semantics are
 /// exactly those of [`JobSpec::execute`]. Grid cells restart from scratch
 /// after a crash: they are independent and each is short.
-fn execute_grid(shared: &Shared, id: u64, grid: &GridSpec) -> Result<Json, String> {
-    let cells = grid.expand();
+fn execute_grid(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Json, String> {
+    let cells = spec.cells();
     let total = cells.len() as u64;
     shared.progress.publish(id, |jp| {
         jp.phase = "measure";
@@ -541,13 +541,13 @@ fn execute_grid(shared: &Shared, id: u64, grid: &GridSpec) -> Result<Json, Strin
     });
     let mut results = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
-        results.push(cell.execute_with(shared.policy.as_ref())?.to_json());
+        results.push(Some(cell.execute_with(shared.policy.as_ref())?.to_json()));
         shared.progress.publish(id, |jp| {
             jp.cells_done = i as u64 + 1;
             jp.ops = i as u64 + 1;
         });
     }
-    Ok(Json::obj([("results", Json::Arr(results))]))
+    spec.gather(results)
 }
 
 /// Executes `spec` and records the outcome. The guarded
@@ -701,26 +701,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// `GET /v1/jobs/<id>/events` → the job ID; anything else → `None`.
-fn events_target(request: &Request) -> Option<u64> {
-    if request.method != "GET" {
-        return None;
-    }
-    let path = request
-        .path
-        .split_once('?')
-        .map_or(request.path.as_str(), |(p, _)| p);
-    path.strip_prefix("/v1/jobs/")?
-        .strip_suffix("/events")?
-        .parse()
-        .ok()
-}
-
-/// How many empty waits (500 ms each) between `alive` heartbeats on an
-/// otherwise idle event stream — a dead peer is noticed within ~10 s even
-/// when the job publishes nothing (e.g. still queued).
-const STREAM_HEARTBEAT_WAITS: u32 = 20;
-
 /// Streams one JSON event object per line over chunked transfer encoding
 /// until the job settles: `progress` events whenever the job's
 /// [`crate::progress::JobProgress`] sequence moves (strictly monotonic
@@ -728,55 +708,15 @@ const STREAM_HEARTBEAT_WAITS: u32 = 20;
 /// final `end` event carrying the settled state.
 fn stream_events(shared: &Shared, id: u64, writer: &mut TcpStream) -> io::Result<()> {
     let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
-    let mut last_seq = 0;
-    let mut idle_waits = 0;
+    let mut cursor = EventCursor::new(id);
     loop {
-        if let Some(p) = shared.progress.get(id) {
-            if p.seq > last_seq {
-                last_seq = p.seq;
-                idle_waits = 0;
-                let mut line = p.to_json(id).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-        let Some(state) = shared.jobs.state(id) else {
+        cursor.send_progress(&shared.progress, &mut stream)?;
+        match shared.jobs.state(id) {
             // Evicted mid-stream (retention cap) — close the stream with
             // what we know.
-            let mut line = Json::obj([
-                ("event", Json::from("end")),
-                ("id", Json::from(id)),
-                ("state", Json::from("evicted")),
-            ])
-            .render();
-            line.push('\n');
-            stream.chunk(line.as_bytes())?;
-            return stream.finish();
-        };
-        if state.is_settled() {
-            let mut line = Json::obj([
-                ("event", Json::from("end")),
-                ("id", Json::from(id)),
-                ("state", Json::from(state.as_str())),
-            ])
-            .render();
-            line.push('\n');
-            stream.chunk(line.as_bytes())?;
-            return stream.finish();
-        }
-        if shared
-            .progress
-            .wait_past(id, last_seq, Duration::from_millis(500))
-            .is_none()
-        {
-            idle_waits += 1;
-            if idle_waits >= STREAM_HEARTBEAT_WAITS {
-                idle_waits = 0;
-                let mut line =
-                    Json::obj([("event", Json::from("alive")), ("id", Json::from(id))]).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
+            None => return end_stream(stream, id, "evicted"),
+            Some(state) if state.is_settled() => return end_stream(stream, id, state.as_str()),
+            Some(_) => cursor.wait(&shared.progress, &mut stream)?,
         }
     }
 }

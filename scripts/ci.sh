@@ -20,22 +20,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release --offline"
 cargo build --release --workspace --offline
 
+# The full suite includes two contracts worth naming:
+#  - baryon-serve end-to-end (serve/tests/e2e.rs): an ephemeral-port
+#    server must accept a job, backpressure a burst, and return results
+#    byte-identical to a direct in-process run;
+#  - chaos fault injection (core/tests/chaos_faults.rs): the controller
+#    under aggressive seeded fault injection (transient flips + stuck cells
+#    far beyond any real part). The seeds are fixed in the test source, so
+#    a failure there is a real regression in the recovery path,
+#    reproducible bit-for-bit — never flake.
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
-
-# The full suite above already covers baryon-serve, but the serving
-# contract is important enough to gate on explicitly: an ephemeral-port
-# server must accept a job, backpressure a burst, and return results
-# byte-identical to a direct in-process run.
-echo "==> baryon-serve end-to-end smoke"
-cargo test -q -p baryon-serve --offline --test e2e
-
-# Chaos gate: the controller under aggressive seeded fault injection
-# (transient flips + stuck cells far beyond any real part). The suite's
-# seeds are fixed in the test source, so a failure here is a real
-# regression in the recovery path, reproducible bit-for-bit — never flake.
-echo "==> chaos fault-injection suite (fixed seeds)"
-cargo test -q -p baryon-core --offline --test chaos_faults
 
 # Crash-recovery gate: SIGKILL a serving process mid-run (after its job
 # has written a checkpoint into the journal directory), restart a server
