@@ -38,7 +38,6 @@
 use crate::{gate_config, gate_grid, SHARDS};
 use baryon_bench::spec::{JobSpec, RunSpec};
 use baryon_fleet::harness::{self, GateFleet};
-use baryon_fleet::shard::route;
 use baryon_sim::json::Json;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -162,31 +161,40 @@ fn await_checkpoint_on_disk(shard_journal: &Path) -> Result<(), String> {
 
 /// Phase: crash-loop one shard past its quarantine budget with singles
 /// in flight on it; every single must fail over and settle identical to
-/// `golden`. Returns the quarantined shard's index.
-fn crash_loop_phase(fleet: &GateFleet, golden: &str) -> Result<usize, String> {
+/// `golden`.
+fn crash_loop_phase(fleet: &GateFleet, golden: &str) -> Result<(), String> {
     let controller = fleet.controller();
     let body = JobSpec::Run(failover_spec()).to_json().render();
-    // Submit a batch of identical singles and crash-loop whichever shard
-    // the routing hash loaded heaviest — by pigeonhole it holds at least
-    // 4, so the quarantine reliably catches cells in flight (the rest
-    // land on other shards and just run).
+    // Submit more identical singles than the fleet has slots and
+    // crash-loop the shard that takes the first one. With at least SHARDS
+    // singles still queued, the victim's slot pulls another whenever it
+    // lands one, so it holds a single through both kills and the
+    // quarantine reliably catches a cell in flight.
     let ids: Vec<u64> = (0..10)
         .map(|_| fleet.submit(&body, "failover single"))
         .collect::<Result<_, _>>()?;
-    let mut per_shard = [0usize; SHARDS];
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let victim = loop {
+        if let Some(shard) = ids
+            .iter()
+            .find_map(|&id| controller.dispatched_shard(id, 0))
+        {
+            break shard;
+        }
+        if Instant::now() > deadline {
+            return Err("no failover single was ever dispatched".into());
+        }
+        std::thread::sleep(POLL);
+    };
+    let mut queued = 0;
     for &id in &ids {
-        per_shard[route(id, SHARDS)] += 1;
+        let doc = fleet.request("GET", &format!("/v1/jobs/{id}"), None, 200)?;
+        queued += usize::from(doc.get("state").and_then(Json::as_str) == Some("queued"));
     }
-    let victim = (0..SHARDS)
-        .max_by_key(|&s| per_shard[s])
-        .expect("SHARDS > 0");
-    for &id in &ids {
-        fleet.await_status(id, "single dispatch", |doc| {
-            matches!(
-                doc.get("state").and_then(Json::as_str),
-                Some("running" | "done")
-            )
-        })?;
+    if queued < SHARDS {
+        return Err(format!(
+            "only {queued} singles still queued at the first kill; lengthen failover_spec"
+        ));
     }
 
     // Two rapid kills: the first respawns (crash recovery), the second
@@ -226,7 +234,7 @@ fn crash_loop_phase(fleet: &GateFleet, golden: &str) -> Result<usize, String> {
         "{} singles settled byte-identical through the quarantine ({failover} failed over)",
         ids.len()
     );
-    Ok(victim)
+    Ok(())
 }
 
 /// Phase: rot every checkpoint of an in-flight run at rest, crash its
@@ -235,7 +243,7 @@ fn crash_loop_phase(fleet: &GateFleet, golden: &str) -> Result<usize, String> {
 /// the shard's journal record (the run then restarts cold without ever
 /// touching the rotten checkpoints), so the phase retries with a fresh
 /// run until the `serve.ckpt.quarantined` counter moves.
-fn ladder_phase(fleet: &GateFleet, victim: usize, golden: &str) -> Result<(), String> {
+fn ladder_phase(fleet: &GateFleet, golden: &str) -> Result<(), String> {
     let controller = fleet.controller();
     let body = JobSpec::Run(ladder_spec()).to_json().render();
     for attempt in 0..4 {
@@ -244,19 +252,16 @@ fn ladder_phase(fleet: &GateFleet, victim: usize, golden: &str) -> Result<(), St
             // never eats into the quarantine budget across attempts.
             std::thread::sleep(Duration::from_secs(11));
         }
-        // Land a run on any still-healthy shard.
-        let id = loop {
-            let id = fleet.submit(&body, "ladder single")?;
-            if route(id, SHARDS) != victim {
-                break id;
-            }
-            fleet.await_identical(id, golden, "rerouted ladder single")?;
-        };
-        let shard = route(id, SHARDS);
-        let shard_journal = fleet.journal_root().join(format!("shard{shard}"));
+        // The quarantined shard's slots pull nothing, so the run lands on
+        // a healthy shard.
+        let id = fleet.submit(&body, "ladder single")?;
         fleet.await_status(id, "ladder dispatch", |doc| {
             doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
+        let shard = controller
+            .dispatched_shard(id, 0)
+            .ok_or("the running ladder single is not dispatched")?;
+        let shard_journal = fleet.journal_root().join(format!("shard{shard}"));
         await_checkpoint_on_disk(&shard_journal)?;
 
         // Freeze the shard (pause blocks the supervisor's respawn), rot
@@ -280,8 +285,8 @@ fn ladder_phase(fleet: &GateFleet, victim: usize, golden: &str) -> Result<(), St
             return Ok(());
         }
         println!(
-            "attempt {attempt}: chaos ate the journal record before resume ({rotted} rotted); \
-             retrying with a fresh run"
+            "attempt {attempt} on shard {shard}: chaos ate the journal record before resume \
+             ({rotted} rotted); retrying with a fresh run"
         );
     }
     Err("checkpoint ladder never engaged (serve.ckpt.quarantined never moved)".into())
@@ -323,8 +328,8 @@ pub fn run() -> Result<(), String> {
     std::env::remove_var("BARYON_FLEET_QUARANTINE_AFTER");
     let fleet = fleet?;
 
-    let victim = crash_loop_phase(&fleet, &failover_golden)?;
-    ladder_phase(&fleet, victim, &ladder_golden)?;
+    crash_loop_phase(&fleet, &failover_golden)?;
+    ladder_phase(&fleet, &ladder_golden)?;
 
     // The 8-cell sweep over the degraded fleet: one shard out of
     // rotation, disk and response chaos still live on the survivors.
@@ -343,7 +348,12 @@ pub fn run() -> Result<(), String> {
             "expected exactly 1 quarantined shard, have {quarantined}"
         ));
     }
-    let reply_errors = fleet.counter("fleet.shard.reply_errors")?;
+    // Every verified shard reply is a draw at the response flip rate; the
+    // scrapes below keep drawing until one is rejected.
+    let reply_errors =
+        fleet.await_counter("fleet.shard.reply_errors", Duration::from_secs(30), |n| {
+            n >= 1
+        })?;
     if reply_errors == 0 {
         return Err("no corrupt shard reply was ever rejected (reply_errors is 0)".into());
     }

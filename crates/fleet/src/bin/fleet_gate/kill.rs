@@ -17,6 +17,7 @@ use crate::{gate_config, gate_grid, SHARDS};
 use baryon_bench::spec::JobSpec;
 use baryon_fleet::harness::{self, GateFleet};
 use baryon_sim::json::{self, Json};
+use std::ops::ControlFlow;
 
 /// Asserts the collected stream lines are well-formed, monotonic in
 /// `cells_done`, and terminated by `end` with the expected state.
@@ -91,6 +92,7 @@ pub fn run() -> Result<(), String> {
         client
             .stream(&format!("/v1/jobs/{id}/events"), &mut |line| {
                 lines.push(line.to_owned());
+                ControlFlow::Continue(())
             })
             .map(|()| lines)
     });

@@ -1,19 +1,21 @@
 //! The fleet coordinator: one front-door HTTP server over N shards.
 //!
 //! The coordinator owns no simulation code. It admits jobs (per-client
-//! quotas, two-level QoS queue) as lists of cells ([`crate::router`]),
-//! dispatches each cell to its home shard (a single run's one cell is
-//! hash-routed; a grid's cells round-robin across every shard), polls
-//! shard-local jobs to completion, gathers results deterministically,
-//! proxies event streams, and merges every shard's full-fidelity wire
-//! metrics into one fleet-wide registry under `shard<i>.` namespaces.
+//! quotas, two-level QoS queue) as lists of cells ([`crate::router`]) and
+//! runs one dispatch slot per shard worker: a slot pulls the next cell
+//! while its shard is in rotation, POSTs it there, and follows the
+//! shard-local job to its end ([`follow`]), so a cell runs on whichever
+//! shard has a free worker. The coordinator gathers results
+//! deterministically, proxies event streams, and merges every shard's
+//! full-fidelity wire metrics into one fleet-wide registry under
+//! `shard<i>.` namespaces.
 //!
 //! Supervision is the shard set's ([`crate::shard::ShardSet`]): a killed
 //! or wedged shard is restarted on its own journal directory, replays its
 //! write-ahead journal, and resumes interrupted runs from checkpoints —
-//! the coordinator's pollers just keep polling the same shard-local job
-//! IDs at the new address, so a mid-sweep `SIGKILL` costs latency, never
-//! results.
+//! a slot keeps following the same shard-local job ID at the new address,
+//! so a mid-sweep `SIGKILL` costs latency, never results. A quarantined
+//! shard's slots hand their cells back to the queue and pull no more.
 
 use crate::config::{CommitError, RollbackError, Slot, SlotMachine, StageError};
 use crate::quota::{Class, ClientQuotas, QosQueue, QueueError};
@@ -33,6 +35,7 @@ use baryon_sim::telemetry::Registry;
 use baryon_sim::wire;
 use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,7 +48,9 @@ pub struct FleetConfig {
     pub port: u16,
     /// Number of worker shards to spawn and supervise.
     pub shards: usize,
-    /// Worker threads per shard.
+    /// Worker threads per shard. [`Fleet::bind`] does not read it: the
+    /// CLI copies it into [`ShardLauncher::workers`], which sizes both the
+    /// shards and their dispatch slots.
     pub workers_per_shard: usize,
     /// Bounded queue depth per shard.
     pub shard_queue_depth: usize,
@@ -130,8 +135,8 @@ struct WorkItem {
     cell: usize,
 }
 
-/// State shared by the accept loop, handlers, dispatchers, the poller,
-/// and the supervisor.
+/// State shared by the accept loop, handlers, dispatch slots, and the
+/// supervisor.
 struct FleetShared {
     board: JobBoard,
     queue: QosQueue<(Class, WorkItem)>,
@@ -150,13 +155,37 @@ struct FleetShared {
     /// rolling restart so at most one engine runs.
     rollout: Mutex<()>,
     /// The config generation a commit is currently rolling toward (0 =
-    /// no roll in flight). While nonzero, the poller stages finished
-    /// results instead of settling them — a gather must never mix cells
+    /// no roll in flight). While nonzero, slots stage finished results
+    /// instead of settling them — a gather must never mix cells
     /// computed under a generation that may yet be rolled back.
     rolling_to: AtomicU64,
 }
 
 impl FleetShared {
+    /// Fresh coordinator state over already-spawned shards.
+    fn new(
+        cfg: &FleetConfig,
+        shards: ShardSet,
+        addr: SocketAddr,
+        config: SlotMachine,
+        config_dir: PathBuf,
+    ) -> FleetShared {
+        FleetShared {
+            board: JobBoard::new(),
+            queue: QosQueue::new(cfg.queue_cap),
+            quotas: ClientQuotas::new(cfg.max_in_flight_per_client),
+            shards,
+            progress: ProgressBoard::new(),
+            metrics: FleetMetrics::default(),
+            shutdown: AtomicBool::new(false),
+            addr,
+            config: Mutex::new(config),
+            config_dir,
+            rollout: Mutex::new(()),
+            rolling_to: AtomicU64::new(0),
+        }
+    }
+
     /// Applies a board update; when it settles the job, releases the
     /// client's quota slot, bumps completion counters, and nudges event
     /// streams via the progress board.
@@ -198,7 +227,7 @@ impl FleetShared {
     /// the shard computed it — the reply is discarded (typed
     /// [`ShardError::Corrupt`], counted in `fleet.shard.reply_errors`)
     /// rather than trusted, and callers treat it like any transient
-    /// shard failure: retry, requeue, or poll again next tick.
+    /// shard failure: ask again or requeue.
     fn verify_reply(&self, response: ClientResponse) -> Result<ClientResponse, ShardError> {
         let Some(claimed) = response.header(CRC_HEADER).map(str::to_owned) else {
             return Ok(response); // no frame (e.g. a pre-CRC shard) — accept
@@ -235,16 +264,6 @@ impl FleetController {
         self.shared.shards.restarts()
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// The coordinator's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
     /// Pauses dispatch and supervision for a shard (test hook — the
     /// rollout engine pauses shards itself during commit/rollback).
     pub fn pause_shard(&self, index: usize) {
@@ -256,19 +275,8 @@ impl FleetController {
         self.shared.shards.unpause(index);
     }
 
-    /// The active config generation (0 = built-in baseline).
-    pub fn config_generation(&self) -> u64 {
-        self.shared
-            .config
-            .lock()
-            .expect("config lock poisoned")
-            .active()
-            .1
-            .generation
-    }
-
     /// How many shards are currently quarantined (crash-loop budget
-    /// exhausted, out of the routing rotation).
+    /// exhausted, out of rotation).
     pub fn quarantined_shards(&self) -> u64 {
         self.shared.shards.quarantined_count()
     }
@@ -278,33 +286,38 @@ impl FleetController {
         self.shared.shards.is_quarantined(index)
     }
 
-    /// Completed rollbacks (manual and automatic).
-    pub fn config_rollbacks(&self) -> u64 {
-        self.shared
-            .config
-            .lock()
-            .expect("config lock poisoned")
-            .rollbacks()
+    /// The shard a job's cell is dispatched to, read from the board;
+    /// `None` while the cell waits in the queue or once it has landed.
+    pub fn dispatched_shard(&self, id: u64, cell: usize) -> Option<usize> {
+        match self.shared.board.get(id)?.cells.get(cell)?.state {
+            CellState::Dispatched { shard, .. } => Some(shard),
+            _ => None,
+        }
     }
 }
 
-/// A bound, running fleet (shards spawned, dispatchers/poller/supervisor
+/// A bound, running fleet (shards spawned, dispatch slot and supervisor
 /// threads live; call [`Fleet::run`] to serve connections).
 pub struct Fleet {
     listener: TcpListener,
     shared: Arc<FleetShared>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
-    background: Vec<std::thread::JoinHandle<()>>,
+    slots: Vec<std::thread::JoinHandle<()>>,
+    supervisor: std::thread::JoinHandle<()>,
 }
 
 /// Supervisor cadence: how often shards are probed and the dead restarted.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(500);
-/// Poller cadence: how often dispatched shard-local jobs are polled.
-const POLL_EVERY: Duration = Duration::from_millis(100);
+/// How long an idle slot (its shard paused or quarantined) sleeps between
+/// checks, and how long [`follow`] waits before asking a shard again.
+const IDLE_STEP: Duration = Duration::from_millis(50);
+/// [`follow`]'s read timeout: longer than serve's 10 s `alive` heartbeat,
+/// so a live event stream never times out.
+const FOLLOW_READ: Duration = Duration::from_secs(30);
 
 impl Fleet {
     /// Spawns the shard processes, binds `127.0.0.1:<port>`, and starts
-    /// the dispatcher, poller, and supervisor threads.
+    /// one dispatch slot per shard worker (`cfg.shards × launcher.workers`)
+    /// and the supervisor.
     ///
     /// # Errors
     ///
@@ -314,9 +327,11 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.shards`, `cfg.queue_cap`, or
-    /// `cfg.max_in_flight_per_client` is zero.
+    /// Panics if `cfg.shards`, `cfg.queue_cap`,
+    /// `cfg.max_in_flight_per_client`, or `launcher.workers` is zero.
     pub fn bind(cfg: FleetConfig, mut launcher: ShardLauncher) -> io::Result<Fleet> {
+        let workers = launcher.workers;
+        assert!(workers > 0, "a shard needs at least one worker");
         // Bind before spawning: a taken port fails fast (with its
         // distinctive `AddrInUse`) instead of after N process launches.
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, cfg.port))?;
@@ -330,50 +345,28 @@ impl Fleet {
             launcher.policy_path = Some(slot_policy_path(&config_dir, active));
         }
         let shards = ShardSet::spawn(launcher, &cfg.journal_root, cfg.shards)?;
-        let shared = Arc::new(FleetShared {
-            board: JobBoard::new(),
-            queue: QosQueue::new(cfg.queue_cap),
-            quotas: ClientQuotas::new(cfg.max_in_flight_per_client),
-            shards,
-            progress: ProgressBoard::new(),
-            metrics: FleetMetrics::default(),
-            shutdown: AtomicBool::new(false),
-            addr: listener.local_addr()?,
-            config: Mutex::new(machine),
-            config_dir,
-            rollout: Mutex::new(()),
-            rolling_to: AtomicU64::new(0),
-        });
-        let dispatchers = (0..cfg.shards.max(2))
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(FleetShared::new(&cfg, shards, addr, machine, config_dir));
+        let slots = (0..cfg.shards * workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let shard = i / workers;
                 std::thread::Builder::new()
-                    .name(format!("baryon-fleet-dispatch-{i}"))
-                    .spawn(move || dispatcher_loop(&shared))
+                    .name(format!("baryon-fleet-slot-{i}"))
+                    .spawn(move || slot_loop(&shared, shard))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let mut background = Vec::new();
-        {
+        let supervisor = {
             let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("baryon-fleet-poller".to_owned())
-                    .spawn(move || poller_loop(&shared))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("baryon-fleet-supervisor".to_owned())
-                    .spawn(move || supervisor_loop(&shared))?,
-            );
-        }
+            std::thread::Builder::new()
+                .name("baryon-fleet-supervisor".to_owned())
+                .spawn(move || supervisor_loop(&shared))?
+        };
         Ok(Fleet {
             listener,
             shared,
-            dispatchers,
-            background,
+            slots,
+            supervisor,
         })
     }
 
@@ -390,8 +383,9 @@ impl Fleet {
         }
     }
 
-    /// Serves until `POST /v1/shutdown`, then drains dispatchers, stops
-    /// the background threads, and shuts the shards down.
+    /// Serves until `POST /v1/shutdown`, then joins the dispatch slots
+    /// (each lets go of its cell at shutdown, or once the cell's stream
+    /// closes), stops the supervisor, and shuts the shards down.
     ///
     /// # Errors
     ///
@@ -407,130 +401,128 @@ impl Fleet {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || handle_connection(stream, &shared));
         }
-        for dispatcher in self.dispatchers {
-            let _ = dispatcher.join();
+        for slot in self.slots {
+            let _ = slot.join();
         }
-        for thread in self.background {
-            let _ = thread.join();
-        }
+        let _ = self.supervisor.join();
         self.shared.shards.shutdown();
         Ok(())
     }
 }
 
-fn dispatcher_loop(shared: &Arc<FleetShared>) {
-    while let Some((class, item)) = shared.queue.pop() {
+/// One dispatch slot, a worker of shard `shard`: while the shard is in
+/// rotation it pulls the next cell, POSTs it there, and follows it to its
+/// end before pulling again, so a shard never holds more cells than it has
+/// workers. Exits once the queue closes.
+fn slot_loop(shared: &Arc<FleetShared>, shard: usize) {
+    loop {
+        if !shared.shards.in_rotation(shard) {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            std::thread::sleep(IDLE_STEP);
+            continue;
+        }
+        let Some((class, item)) = shared.queue.pop() else {
+            return;
+        };
         if shared.shutdown.load(Ordering::SeqCst) {
             continue; // drain without dispatching
         }
-        dispatch(shared, class, item);
+        if !shared.shards.in_rotation(shard) {
+            // Paused while this slot was blocked in `pop` (the rollout
+            // engine is draining the shard): another slot takes the item.
+            requeue(shared, class, item, &shared.metrics.redispatched);
+            continue;
+        }
+        if let Some(remote) = dispatch(shared, shard, class, item) {
+            land(shared, class, item, follow(shared, shard, remote, None));
+        }
     }
 }
 
-/// Dispatches one work item: POSTs the cell's spec to its shard and
-/// records the shard-local job ID. A refused or unreachable shard puts the
-/// item back on the queue (the supervisor is restarting the shard
+/// Dispatches one work item to `shard`: POSTs the cell's spec and records
+/// the shard-local job ID, which it returns. A refused or unreachable shard
+/// puts the item back on the queue (the supervisor is restarting the shard
 /// meanwhile); an item that cannot be requeued fails its cell.
-fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
+fn dispatch(shared: &Arc<FleetShared>, shard: usize, class: Class, item: WorkItem) -> Option<u64> {
     let Some(job) = shared.board.get(item.fleet_id) else {
-        return; // forgotten (admission rolled back)
+        return None; // forgotten (admission rolled back)
     };
     if job.state.is_settled() {
-        return; // cancelled while queued
+        return None; // cancelled while queued
     }
     let Some(cell) = job.cells.get(item.cell) else {
-        return; // malformed item; nothing sensible to do
+        return None; // malformed item; nothing sensible to do
     };
     if cell.state != CellState::Pending {
-        return; // duplicate item; already dispatched
+        return None; // duplicate item; already dispatched
     }
-    let spec_body = cell.spec.to_json().render();
-    // A quarantined shard never comes back on its own; deterministically
-    // probe forward from the routed index for a shard still in rotation.
-    let Some(shard) = first_in_rotation(shared, cell.home) else {
-        // Every shard is quarantined; keep the item in play — an
-        // operator rollout is the one path back.
-        requeue(shared, class, item);
-        return;
-    };
-    if shared.shards.is_paused(shard) {
-        // The rollout engine is draining/restarting this shard; keep the
-        // item in play until the shard comes back.
-        requeue(shared, class, item);
-        return;
+    match post_run(shared, shard, &cell.spec.to_json().render()) {
+        Ok(Some(remote)) => {
+            shared.apply_update(item.fleet_id, |job| {
+                job.cells[item.cell].state = CellState::Dispatched { shard, remote };
+            });
+            Some(remote)
+        }
+        Ok(None) => {
+            requeue(shared, class, item, &shared.metrics.redispatched);
+            None
+        }
+        Err(reason) => {
+            fail_cell(shared, &item, &reason);
+            None
+        }
     }
-    let outcome =
-        shared
-            .shards
-            .client(shard)
-            .request_with_retry("POST", "/v1/jobs", Some(&spec_body));
-    let remote = match outcome {
-        // A 5xx survived the client's retries: 503 means queue full /
-        // shutting down, 500 a transient shard-side fault (e.g. the
-        // journal under a hostile disk refusing the submission). Either
-        // way the shard may recover — back off and requeue, never fail
-        // the cell on a server-side error.
-        Ok(response) if response.status >= 500 => None,
-        // A corrupt 202 is indistinguishable from garbage: the shard may
-        // or may not hold the job. Requeue — the duplicate-dispatch guard
-        // above drops the item if the poller lands it first.
-        Ok(response) => match shared.verify_reply(response) {
-            Err(_) => None,
-            Ok(response) => match response.into_result() {
-                Ok(accepted) => match json::parse(&accepted.body)
-                    .ok()
-                    .as_ref()
-                    .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-                {
-                    Some(remote) => Some(remote),
-                    None => {
-                        fail_cell(shared, &item, "shard sent an unreadable 202 body");
-                        return;
-                    }
-                },
-                Err(e) => {
-                    // The shard understood the request and refused it for
-                    // good (e.g. invalid spec surfaced late) — fail the
-                    // cell; retrying cannot change a deterministic
-                    // rejection.
-                    fail_cell(shared, &item, &format!("shard rejected job: {e}"));
-                    return;
-                }
-            },
-        },
-        Err(_) => None, // connect/timeout → shard is restarting; requeue
-    };
-    let Some(remote) = remote else {
-        requeue(shared, class, item);
-        return;
-    };
-    shared.apply_update(item.fleet_id, |job| {
-        job.cells[item.cell].state = CellState::Dispatched { shard, remote };
-    });
 }
 
-/// Puts an undeliverable item back on the queue after a short pause. The
-/// requeue bypasses the class cap — the item was already admitted, and a
-/// momentarily full queue (e.g. a saturating burst while a shard is
-/// paused for a rollout) must not cost the job — so only a closed queue
-/// (shutdown) fails the cell.
-fn requeue(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
-    shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
+/// POSTs a run spec to `shard`: `Ok(Some(remote))` once the shard accepts
+/// it, `Ok(None)` when the shard may yet recover and the POST should be
+/// retried later, and `Err` when the shard refused the run for good.
+fn post_run(shared: &FleetShared, shard: usize, spec: &str) -> Result<Option<u64>, String> {
+    let response =
+        match shared
+            .shards
+            .client(shard)
+            .request_with_retry("POST", "/v1/jobs", Some(spec))
+        {
+            // A 5xx survived the client's retries: 503 means queue full /
+            // shutting down, 500 a transient shard-side fault (e.g. the
+            // journal under a hostile disk refusing the submission). Either
+            // way the shard may recover — never fail the run on a
+            // server-side error. Connect/timeout: the shard is restarting.
+            Ok(response) if response.status < 500 => response,
+            _ => return Ok(None),
+        };
+    // A corrupt 202 is indistinguishable from garbage: the shard may or
+    // may not hold the job. Retry — a shard job nobody follows costs only
+    // its run.
+    let Ok(response) = shared.verify_reply(response) else {
+        return Ok(None);
+    };
+    // The shard understood the request and refused it (e.g. invalid spec
+    // surfaced late); retrying cannot change a deterministic rejection.
+    let accepted = response
+        .into_result()
+        .map_err(|e| format!("shard rejected job: {e}"))?;
+    json::parse(&accepted.body)
+        .ok()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+        .map(Some)
+        .ok_or_else(|| "shard sent an unreadable 202 body".to_owned())
+}
+
+/// Puts an item back on the queue after a short pause, counting it in
+/// `counter`. The requeue bypasses the class cap — the item was already
+/// admitted, and a momentarily full queue (e.g. a saturating burst while
+/// a shard is paused for a rollout) must not cost the job — so only a
+/// closed queue (shutdown) fails the cell.
+fn requeue(shared: &Arc<FleetShared>, class: Class, item: WorkItem, counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
     std::thread::sleep(Duration::from_millis(100));
     if shared.queue.requeue(class, (class, item)).is_err() {
         fail_cell(shared, &item, "shard unreachable and dispatch queue closed");
     }
-}
-
-/// The first non-quarantined shard at or after `preferred`, probing
-/// forward deterministically (`(preferred + k) % n`) so the same cell
-/// keeps landing on the same substitute while the quarantine set is
-/// stable. `None` when every shard is out of rotation.
-fn first_in_rotation(shared: &Arc<FleetShared>, preferred: usize) -> Option<usize> {
-    let n = shared.shards.len();
-    (0..n)
-        .map(|k| (preferred + k) % n)
-        .find(|&s| !shared.shards.is_quarantined(s))
 }
 
 fn fail_cell(shared: &Arc<FleetShared>, item: &WorkItem, reason: &str) {
@@ -539,142 +531,156 @@ fn fail_cell(shared: &Arc<FleetShared>, item: &WorkItem, reason: &str) {
     });
 }
 
-/// The poller: walks every unsettled fleet job and asks shards about its
-/// dispatched cells, landing results (and batch progress) on the board.
-fn poller_loop(shared: &Arc<FleetShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        for id in shared.board.active_ids() {
-            poll_job(shared, id);
-        }
-        std::thread::sleep(POLL_EVERY);
-    }
+/// How a shard-local job [`follow`] watched ended.
+#[derive(Debug, PartialEq)]
+enum Followed {
+    /// It settled: its result document, or why it failed.
+    Settled(Result<Json, String>),
+    /// The shard answered `404`: it no longer holds the job.
+    Lost,
+    /// The shard is unreachable and quarantined.
+    Quarantined,
+    /// `until` passed, or the fleet is shutting down. Both are checked at
+    /// every stream event and `until` also bounds each read, so a follow
+    /// overruns `until` by at most serve's 10 s `alive` heartbeat.
+    TimedOut,
 }
 
-/// One poll pass over a fleet job's dispatched cells.
-fn poll_job(shared: &Arc<FleetShared>, id: u64) {
-    let Some(job) = shared.board.get(id) else {
-        return;
-    };
-    let before_done = job.cells_done();
-    for (cell, shard, remote) in job.dispatched(None) {
-        let response = Client::new(shared.shards.addr(shard))
+/// Follows shard-local job `remote` on `shard` to its end — the one way
+/// the coordinator learns that a shard job finished. The CRC-verified
+/// `GET /v1/jobs/<remote>` record is the single truth. While it is
+/// unsettled, the job's event stream is read until it closes; the stream
+/// only wakes the loop, so a dropped stream or a garbled line can never
+/// settle a cell. An unreachable shard is asked again every 50 ms under
+/// the same ID (a `SIGKILL`ed shard replays its journal and keeps it)
+/// until the supervisor quarantines it.
+fn follow(shared: &FleetShared, shard: usize, remote: u64, until: Option<Instant>) -> Followed {
+    let status = format!("/v1/jobs/{remote}");
+    loop {
+        let wait = match until {
+            None => FOLLOW_READ,
+            Some(until) => until.saturating_duration_since(Instant::now()),
+        };
+        if wait.is_zero() || shared.shutdown.load(Ordering::SeqCst) {
+            return Followed::TimedOut;
+        }
+        // The address changes across restarts; read it every pass.
+        let client = Client::new(shared.shards.addr(shard))
             .connect_timeout(Duration::from_millis(500))
-            .read_timeout(Duration::from_secs(5))
-            .request("GET", &format!("/v1/jobs/{remote}"), None);
-        let record = match response {
-            Ok(r) if r.status == 404 => {
-                // The shard genuinely lost the job (journal-less restart
-                // or eviction) — put the cell back in play.
-                shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
-                let item = WorkItem { fleet_id: id, cell };
-                shared.apply_update(id, |job| job.cells[cell].state = CellState::Pending);
-                if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-                    fail_cell(shared, &item, "shard lost the job and queue is closed");
-                }
+            .read_timeout(wait.min(FOLLOW_READ));
+        let reply = match client.request("GET", &status, None) {
+            Ok(reply) if reply.status == 404 => return Followed::Lost,
+            Ok(reply) => reply,
+            Err(_) if shared.shards.is_quarantined(shard) => return Followed::Quarantined,
+            Err(_) => {
+                std::thread::sleep(IDLE_STEP);
                 continue;
             }
-            // A reply failing its CRC frame is a lying shard: discard it
-            // and poll again next tick rather than settle a cell on
-            // garbage.
-            Ok(r) => match shared.verify_reply(r) {
-                Ok(r) => match r.into_result() {
-                    Ok(ok) => json::parse(&ok.body).ok(),
-                    Err(_) => continue, // transient server-side error; retry next tick
-                },
-                Err(_) => continue,
-            },
-            Err(_) => continue, // shard restarting; retry next tick
         };
-        let Some(record) = record else { continue };
-        let state = record.get("state").and_then(Json::as_str).unwrap_or("");
-        let update: Option<CellState> = match state {
-            "done" => record.get("result").cloned().map(CellState::Done),
-            "failed" => Some(CellState::Failed(
-                record
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("shard job failed")
-                    .to_owned(),
-            )),
-            "cancelled" => Some(CellState::Failed("cancelled on shard".to_owned())),
-            _ => None, // queued / running — keep polling
+        // A reply failing its CRC frame (a lying shard) or a transient 5xx
+        // carries no record: ask again.
+        let record = shared
+            .verify_reply(reply)
+            .ok()
+            .and_then(|reply| reply.into_result().ok())
+            .and_then(|reply| json::parse(&reply.body).ok());
+        let Some(record) = record else {
+            std::thread::sleep(IDLE_STEP);
+            continue;
         };
-        let Some(update) = update else { continue };
-        // The `rolling_to` read happens inside the board lock: staged
-        // resolution clears the flag *before* taking that lock, so a
-        // result landing after resolution scanned the board sees 0 here
-        // and settles directly — no cell can stay staged forever.
-        shared.apply_update(id, |job| {
-            job.cells[cell].state = match update {
-                CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
-                    CellState::Staged(doc)
-                }
-                other => other,
-            };
-        });
-    }
-    // Publish grid progress when cells landed this pass (settled jobs —
-    // every single run whose cell landed — already published their final
-    // snapshot in apply_update).
-    if let Some(job) = shared.board.get(id) {
-        let (done, total) = (job.cells_done(), job.cells_total());
-        if done > before_done && !job.state.is_settled() {
-            shared.progress.publish(id, |jp| {
-                jp.phase = "measure";
-                jp.cells_done = done;
-                jp.cells_total = total;
-                jp.ops = done;
-            });
+        if let Some(outcome) = settled(&record) {
+            return Followed::Settled(outcome);
         }
+        let _ = client.stream(&format!("{status}/events"), &mut |_| {
+            let expired = until.is_some_and(|until| Instant::now() >= until);
+            if expired || shared.shutdown.load(Ordering::SeqCst) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
     }
 }
 
-/// The supervisor: periodic health sweep over the shard set. A shard
-/// that exhausts its crash-loop budget comes back quarantined — its
-/// in-flight cells fail over to healthy shards immediately.
+/// A shard job record's outcome once it has settled; `None` while it is
+/// queued or running.
+fn settled(record: &Json) -> Option<Result<Json, String>> {
+    Some(match record.get("state").and_then(Json::as_str)? {
+        "done" => record
+            .get("result")
+            .cloned()
+            .ok_or_else(|| "shard reported done without a result".to_owned()),
+        "failed" => Err(record
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("shard job failed")
+            .to_owned()),
+        "cancelled" => Err("cancelled on shard".to_owned()),
+        _ => return None,
+    })
+}
+
+/// Lands what [`follow`] saw on the board. A shard that lost the job, or
+/// was quarantined with it (its journal still holds the job, but nothing
+/// replays it until an operator rolls the shard back in), puts the cell
+/// back in play.
+fn land(shared: &Arc<FleetShared>, class: Class, item: WorkItem, followed: Followed) {
+    let state = match followed {
+        Followed::Settled(Ok(doc)) => CellState::Done(doc),
+        Followed::Settled(Err(e)) => CellState::Failed(e),
+        Followed::Lost | Followed::Quarantined => {
+            shared.apply_update(item.fleet_id, |job| {
+                job.cells[item.cell].state = CellState::Pending;
+            });
+            let counter = match followed {
+                Followed::Lost => &shared.metrics.redispatched,
+                _ => &shared.metrics.failover,
+            };
+            return requeue(shared, class, item, counter);
+        }
+        Followed::TimedOut => return, // shutting down
+    };
+    // The `rolling_to` read happens inside the board lock: staged
+    // resolution clears the flag *before* taking that lock, so a result
+    // landing after resolution scanned the board sees 0 here and settles
+    // directly — no cell can stay staged forever.
+    shared.apply_update(item.fleet_id, |job| {
+        job.cells[item.cell].state = match state {
+            CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
+                CellState::Staged(doc)
+            }
+            other => other,
+        };
+    });
+    // Publish grid progress when a cell landed (a settled job — every
+    // single run whose cell landed — already published its final snapshot
+    // in apply_update).
+    let Some(job) = shared.board.get(item.fleet_id) else {
+        return;
+    };
+    if !job.state.is_settled() && matches!(job.cells[item.cell].state, CellState::Done(_)) {
+        let (done, total) = (job.cells_done(), job.cells_total());
+        shared.progress.publish(item.fleet_id, |jp| {
+            // Slots land concurrently: a stale count never goes backwards.
+            jp.phase = "measure";
+            jp.cells_done = done.max(jp.cells_done);
+            jp.cells_total = total;
+            jp.ops = done.max(jp.ops);
+        });
+    }
+}
+
+/// The supervisor: periodic health sweep over the shard set. A shard that
+/// exhausts its crash-loop budget comes back quarantined; the slots
+/// following its cells hand them back to the queue.
 fn supervisor_loop(shared: &Arc<FleetShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
-        for index in shared.shards.check_and_restart() {
-            fail_over_shard(shared, index);
-        }
+        shared.shards.check_and_restart();
         // Sleep in small steps so shutdown is prompt.
         let mut slept = Duration::ZERO;
         while slept < SUPERVISE_EVERY && !shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
-            slept += Duration::from_millis(50);
-        }
-    }
-}
-
-/// Re-dispatches every cell that was in flight on a newly quarantined
-/// shard: the cell goes back to `Pending` and onto the queue, where
-/// [`dispatch`] routes it around the dead slot. The shard's journal
-/// still holds the jobs, but nothing will replay it until an operator
-/// rolls the shard back in — waiting on it would strand the cells.
-fn fail_over_shard(shared: &Arc<FleetShared>, index: usize) {
-    for id in shared.board.active_ids() {
-        let Some(job) = shared.board.get(id) else {
-            continue;
-        };
-        for (cell, ..) in job.dispatched(Some(index)) {
-            // Re-check under the board lock: the poller may have landed
-            // the cell between the snapshot above and now.
-            let mut moved = false;
-            shared.apply_update(id, |job| {
-                let cell = &mut job.cells[cell];
-                if matches!(cell.state, CellState::Dispatched { shard, .. } if shard == index) {
-                    cell.state = CellState::Pending;
-                    moved = true;
-                }
-            });
-            if !moved {
-                continue;
-            }
-            shared.metrics.failover.fetch_add(1, Ordering::Relaxed);
-            let item = WorkItem { fleet_id: id, cell };
-            if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-                fail_cell(shared, &item, "shard quarantined and dispatch queue closed");
-            }
+            std::thread::sleep(IDLE_STEP);
+            slept += IDLE_STEP;
         }
     }
 }
@@ -868,9 +874,7 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
         .header("Retry-After", &class.retry_after_secs().to_string());
     }
     let cells_total = spec.runs();
-    let id = shared
-        .board
-        .admit(spec, client.clone(), class, shared.shards.len());
+    let id = shared.board.admit(spec, client.clone(), class);
     for cell in 0..cells_total {
         let item = WorkItem { fleet_id: id, cell };
         match shared.queue.push(class, (class, item)) {
@@ -1226,8 +1230,8 @@ fn roll_shard(
 /// How long a rolling restart waits for a paused shard's cells to land.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Waits until the shard has no dispatched cells (the poller lands them
-/// as they finish; new dispatches requeue while the shard is paused).
+/// Waits until the shard has no dispatched cells (its slots land them as
+/// they finish and pull nothing while the shard is paused).
 fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     let deadline = Instant::now() + DRAIN_TIMEOUT;
     while shard_busy(shared, index) {
@@ -1239,9 +1243,7 @@ fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether any unsettled fleet job has a cell dispatched on the shard —
-/// where the cell actually landed, not its home: failover can dispatch a
-/// cell off its home shard.
+/// Whether any unsettled fleet job has a cell dispatched on the shard.
 fn shard_busy(shared: &Arc<FleetShared>, index: usize) -> bool {
     shared.board.active_ids().into_iter().any(|id| {
         shared
@@ -1288,47 +1290,14 @@ const CANARY_SPEC: &str = r#"{"workload":"ycsb-a","controller":"baryon","insts":
 const CANARY_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
-    let client = Client::new(shared.shards.addr(index))
-        .connect_timeout(Duration::from_millis(500))
-        .read_timeout(Duration::from_secs(10));
-    let accepted = client
-        .request("POST", "/v1/jobs", Some(CANARY_SPEC))
-        .map_err(|e| format!("canary submit failed: {e}"))
-        .and_then(|r| shared.verify_reply(r).map_err(|e| e.to_string()))?
-        .into_result()
-        .map_err(|e| format!("canary submit rejected: {e}"))?;
-    let id = json::parse(&accepted.body)
-        .ok()
-        .as_ref()
-        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-        .ok_or_else(|| "canary 202 body unreadable".to_owned())?;
-    let deadline = Instant::now() + CANARY_TIMEOUT;
-    loop {
-        let record = client
-            .request("GET", &format!("/v1/jobs/{id}"), None)
-            .ok()
-            .and_then(|r| shared.verify_reply(r).ok())
-            .and_then(|r| r.into_result().ok())
-            .and_then(|r| json::parse(&r.body).ok());
-        if let Some(record) = record {
-            match record.get("state").and_then(Json::as_str) {
-                Some("done") => return Ok(()),
-                Some("failed") => {
-                    return Err(format!(
-                        "canary failed under the new config: {}",
-                        record
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("no error detail")
-                    ))
-                }
-                _ => {}
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err("canary never settled".to_owned());
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    let id = post_run(shared, index, CANARY_SPEC)
+        .map_err(|e| format!("canary submit rejected: {e}"))?
+        .ok_or_else(|| "canary submit failed: shard unavailable".to_owned())?;
+    match follow(shared, index, id, Some(Instant::now() + CANARY_TIMEOUT)) {
+        Followed::Settled(Ok(_)) => Ok(()),
+        Followed::Settled(Err(e)) => Err(format!("canary failed under the new config: {e}")),
+        Followed::Lost => Err("the shard lost the canary job".to_owned()),
+        Followed::Quarantined | Followed::TimedOut => Err("canary never settled".to_owned()),
     }
 }
 
@@ -1448,26 +1417,30 @@ fn stream_fleet_events(
         if job.state.is_settled() {
             return end_stream(stream, id, job.state.as_str());
         }
+        // The board settles a job before its settle publish, so a settle
+        // landing just before a wait still wakes it.
+        let ended = || shared.board.state(id).is_none_or(JobState::is_settled);
         // A dispatched single run proxies the shard's stream directly —
-        // live simulator progress, not 100 ms polling granularity.
+        // live simulator progress.
         if let Some((shard, remote)) = job.stream_target() {
             proxy_single_stream(shared, id, shard, remote, &mut stream, &mut last_ops)?;
             // The shard's stream ended (job settled there, or the shard
-            // died mid-run). Loop: the poller lands the result, or the
-            // restarted shard's resumed job re-opens above.
-            std::thread::sleep(Duration::from_millis(100));
+            // died mid-run). The slot following the cell lands the result
+            // and its settle wakes this wait; otherwise the loop re-opens
+            // the restarted shard's resumed job.
+            cursor.wait(&shared.progress, &mut stream, ended)?;
             continue;
         }
         // Queued singles and grids watch the coordinator's own board.
         cursor.send_progress(&shared.progress, &mut stream)?;
-        cursor.wait(&shared.progress, &mut stream)?;
+        cursor.wait(&shared.progress, &mut stream, ended)?;
     }
 }
 
 /// Follows one shard-local event stream, forwarding `progress` and
 /// `alive` events with the ID rewritten to the fleet ID. The shard's own
 /// `end` event is swallowed — the fleet-level end comes from the board
-/// once the poller lands the result. Returns when the shard stream closes
+/// once the slot following the cell lands the result. Returns when the shard stream closes
 /// or errors (the caller re-checks the board and reconnects).
 fn proxy_single_stream(
     shared: &Arc<FleetShared>,
@@ -1478,15 +1451,15 @@ fn proxy_single_stream(
     last_ops: &mut u64,
 ) -> io::Result<()> {
     let mut write_error: Option<io::Error> = None;
-    let outcome = Client::new(shared.shards.addr(shard))
+    // Shard-side errors (404 from a journal-less restart, connection drop
+    // mid-restart) are not fatal to the fleet stream — the caller loops
+    // and reconnects.
+    let _ = Client::new(shared.shards.addr(shard))
         .connect_timeout(Duration::from_millis(500))
         .read_timeout(Duration::from_secs(30))
         .stream(&format!("/v1/jobs/{remote}/events"), &mut |line| {
-            if write_error.is_some() {
-                return; // client is gone; drain the shard stream quietly
-            }
             let Ok(mut doc) = json::parse(line) else {
-                return;
+                return ControlFlow::Continue(());
             };
             match doc.get("event").and_then(Json::as_str) {
                 Some("progress") => {
@@ -1495,26 +1468,25 @@ fn proxy_single_stream(
                     // client already saw so `ops` stays strictly monotonic.
                     let ops = doc.get("ops").and_then(Json::as_u64).unwrap_or(0);
                     if ops <= *last_ops {
-                        return;
+                        return ControlFlow::Continue(());
                     }
                     *last_ops = ops;
                 }
                 Some("alive") => {}
-                _ => return, // `end` (and anything unknown) is not forwarded
+                // `end` (and anything unknown) is not forwarded.
+                _ => return ControlFlow::Continue(()),
             }
             set_field(&mut doc, "id", Json::from(fleet_id));
-            if let Err(e) = send_event(stream, &doc) {
-                write_error = Some(e);
+            match send_event(stream, &doc) {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(e) => {
+                    write_error = Some(e);
+                    ControlFlow::Break(())
+                }
             }
         });
-    if let Some(e) = write_error {
-        return Err(e); // the streaming client hung up
-    }
-    // Shard-side errors (404 from a journal-less restart, connection
-    // drop mid-restart) are not fatal to the fleet stream — the caller
-    // loops and reconnects.
-    let _ = outcome;
-    Ok(())
+    // A write error means the streaming client hung up.
+    write_error.map_or(Ok(()), Err)
 }
 
 /// Replaces (or appends) `key` in a JSON object.
@@ -1530,6 +1502,116 @@ fn set_field(doc: &mut Json, key: &str, value: Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baryon_bench::spec::RunSpec;
+    use baryon_serve::{ServeConfig, Server};
+
+    /// An in-process serve shard plus coordinator state whose shard 0
+    /// points at it (the shard process is a shell that announces the
+    /// server's address and sleeps).
+    struct FollowFixture {
+        shared: FleetShared,
+        serving: Option<std::thread::JoinHandle<io::Result<()>>>,
+        dir: PathBuf,
+    }
+
+    impl FollowFixture {
+        fn new(tag: &str) -> FollowFixture {
+            let server = Server::bind(ServeConfig {
+                port: 0,
+                workers: 1,
+                ..ServeConfig::default()
+            })
+            .expect("bind serve");
+            let addr = server.local_addr();
+            let serving = Some(std::thread::spawn(move || server.run()));
+            let dir =
+                std::env::temp_dir().join(format!("baryon-follow-{tag}-{}", std::process::id()));
+            let launcher = ShardLauncher {
+                program: PathBuf::from("/bin/sh"),
+                prefix_args: vec!["-c".into(), format!("echo ADDR {addr}; exec sleep 600")],
+                workers: 1,
+                queue_depth: 4,
+                policy_path: None,
+                extra_env: Vec::new(),
+            };
+            let shards = ShardSet::spawn(launcher, &dir, 1).expect("spawn the stand-in shard");
+            let cfg = FleetConfig::default();
+            let shared = FleetShared::new(&cfg, shards, addr, SlotMachine::new(), dir.clone());
+            FollowFixture {
+                shared,
+                serving,
+                dir,
+            }
+        }
+
+        /// POSTs `spec` to the shard and returns its shard-local ID.
+        fn submit(&self, spec: &RunSpec) -> u64 {
+            let reply = Client::new(self.shared.shards.addr(0))
+                .request("POST", "/v1/jobs", Some(&spec.to_json().render()))
+                .expect("submit")
+                .into_result()
+                .expect("202");
+            json::parse(&reply.body)
+                .ok()
+                .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+                .expect("id in 202 body")
+        }
+    }
+
+    impl Drop for FollowFixture {
+        fn drop(&mut self) {
+            let _ = Client::new(self.shared.shards.addr(0)).request("POST", "/v1/shutdown", None);
+            if let Some(serving) = self.serving.take() {
+                let _ = serving.join();
+            }
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn small_run() -> RunSpec {
+        RunSpec {
+            insts: 20_000,
+            warmup: 2_000,
+            scale: 2048,
+            seed: 5,
+            ..RunSpec::default()
+        }
+    }
+
+    #[test]
+    fn follow_settles_with_the_in_process_result() {
+        let fixture = FollowFixture::new("settled");
+        let spec = small_run();
+        let remote = fixture.submit(&spec);
+        let Followed::Settled(Ok(result)) = follow(&fixture.shared, 0, remote, None) else {
+            panic!("the run did not settle with a result");
+        };
+        let direct = spec.execute().expect("spec runs").to_json();
+        assert_eq!(result.render(), direct.render());
+    }
+
+    #[test]
+    fn follow_reports_an_unknown_job_lost() {
+        let fixture = FollowFixture::new("lost");
+        assert_eq!(follow(&fixture.shared, 0, 4242, None), Followed::Lost);
+    }
+
+    #[test]
+    fn follow_times_out_at_until_while_the_job_streams() {
+        let fixture = FollowFixture::new("timeout");
+        let remote = fixture.submit(&RunSpec {
+            insts: 1_000_000,
+            ..small_run()
+        });
+        let started = Instant::now();
+        let until = started + Duration::from_millis(300);
+        assert_eq!(
+            follow(&fixture.shared, 0, remote, Some(until)),
+            Followed::TimedOut
+        );
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(2), "overran until: {waited:?}");
+    }
 
     #[test]
     fn set_field_replaces_or_appends() {

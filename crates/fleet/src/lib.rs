@@ -4,9 +4,10 @@
 //! processes, each with its own journal directory), giving the simulator
 //! a horizontally scaled, crash-tolerant job service:
 //!
-//! * **Routing** — every fleet job is a list of cells ([`router`]): a
-//!   single run's one cell hashes onto one shard ([`shard::route`]); a
-//!   grid's cells round-robin across every shard and gather back
+//! * **Dispatch** — every fleet job is a list of cells ([`router`]). Each
+//!   shard worker has one dispatch slot that pulls the next cell while its
+//!   shard is in rotation and follows it to its end, so a cell runs on
+//!   whichever shard has a free worker; a grid's cells gather back
 //!   ([`baryon_bench::spec::JobSpec::gather`]) into the byte-identical
 //!   single-process result document.
 //! * **QoS** — per-client in-flight quotas (`429 quota_exceeded`) and a

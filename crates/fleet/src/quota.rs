@@ -181,7 +181,7 @@ impl<T> QosQueue<T> {
     /// Re-enqueues an item that was already admitted once (a dispatch
     /// retry), bypassing the class cap: the cap gates *new* admissions,
     /// and refusing a requeue would either lose the job or deadlock the
-    /// dispatcher holding it against a full queue.
+    /// dispatch slot holding it against a full queue.
     ///
     /// # Errors
     ///

@@ -3,13 +3,12 @@
 //!
 //! The board is the coordinator's single source of truth. Every fleet job
 //! is a list of cells, one [`RunSpec`] each, in [`JobSpec::cells`] order:
-//! a single run is a job with exactly one cell, homed on the shard its
-//! fleet ID hash-routes to ([`crate::shard::route`]); a grid sweep has one
-//! cell per grid point, cell `i` homed on shard `i % shards`. Dispatchers
-//! move cells from `Pending` to `Dispatched{shard, remote}`; the poller
-//! moves them to `Done`/`Failed` as shard-local jobs settle, and the job
-//! settles when its cells do — gathered by [`JobSpec::gather`] into the
-//! exact document a single-process execution would have produced.
+//! a single run is a job with exactly one cell, a grid sweep has one cell
+//! per grid point. A dispatch slot moves a cell from `Pending` to
+//! `Dispatched{shard, remote}` on the shard it serves, then to
+//! `Done`/`Failed` when the shard-local job settles, and the job settles
+//! when its cells do — gathered by [`JobSpec::gather`] into the exact
+//! document a single-process execution would have produced.
 
 use baryon_bench::spec::{JobSpec, RunSpec};
 use baryon_serve::job::JobState;
@@ -23,13 +22,13 @@ use crate::quota::Class;
 /// Where one cell stands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellState {
-    /// Waiting for a dispatcher.
+    /// Waiting in the queue for a dispatch slot.
     Pending,
     /// Accepted by a shard as shard-local job `remote`.
     Dispatched {
         /// The shard index executing it.
         shard: usize,
-        /// The shard-local job ID to poll.
+        /// The shard-local job ID to follow.
         remote: u64,
     },
     /// Finished on a shard whose config generation is still mid-rollout:
@@ -50,9 +49,6 @@ pub enum CellState {
 pub struct Cell {
     /// The run a shard executes.
     pub spec: RunSpec,
-    /// The shard it is routed to; dispatch probes forward from here when
-    /// that shard is quarantined.
-    pub home: usize,
     /// Its dispatch state.
     pub state: CellState,
 }
@@ -132,8 +128,7 @@ impl FleetJob {
 
     /// The shard-local event stream a fleet event stream proxies, as
     /// `(shard, remote)`: a dispatched single run's, on the shard it was
-    /// dispatched to (which failover may have moved off its home).
-    /// `None` for grids and undispatched runs, whose streams are built
+    /// dispatched to. `None` for grids and undispatched runs, whose streams are built
     /// from the board.
     pub fn stream_target(&self) -> Option<(usize, u64)> {
         match self.spec {
@@ -172,21 +167,14 @@ impl JobBoard {
         }
     }
 
-    /// Admits a job (already quota-checked) over a fleet of `shards` and
-    /// returns its fleet ID. A run's one cell is homed on the shard its ID
-    /// routes to; grid cell `i` on shard `i % shards`.
-    pub fn admit(&self, spec: JobSpec, client: String, class: Class, shards: usize) -> u64 {
+    /// Admits a job (already quota-checked) and returns its fleet ID.
+    pub fn admit(&self, spec: JobSpec, client: String, class: Class) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cells = spec
             .cells()
             .into_iter()
-            .enumerate()
-            .map(|(i, run)| Cell {
+            .map(|run| Cell {
                 spec: run,
-                home: match spec {
-                    JobSpec::Run(_) => crate::shard::route(id, shards),
-                    JobSpec::Grid(_) => i % shards,
-                },
                 state: CellState::Pending,
             })
             .collect();
@@ -356,7 +344,7 @@ impl JobBoard {
         out
     }
 
-    /// Snapshot of every unsettled job's ID (the poller's work list).
+    /// Snapshot of every unsettled job's ID.
     pub fn active_ids(&self) -> Vec<u64> {
         self.jobs
             .lock()
@@ -406,7 +394,6 @@ mod tests {
             JobSpec::Run(RunSpec::default()),
             "alice".into(),
             Class::Interactive,
-            1,
         );
         assert_eq!(board.state(id), Some(JobState::Queued));
         assert_eq!(board.get(id).expect("job").cells.len(), 1);
@@ -440,7 +427,7 @@ mod tests {
     fn batch_gathers_on_last_cell_and_fails_on_first_error() {
         let grid = tiny_grid();
         let board = JobBoard::new();
-        let id = board.admit(JobSpec::Grid(grid.clone()), "bob".into(), Class::Batch, 2);
+        let id = board.admit(JobSpec::Grid(grid.clone()), "bob".into(), Class::Batch);
         let n = board.get(id).expect("job").cells.len();
 
         // Finish all cells but the last; the job stays running.
@@ -465,7 +452,7 @@ mod tests {
         assert_eq!(job.result.expect("result").render(), r#"{"results":[0,1]}"#);
 
         // A failing cell fails the whole batch immediately.
-        let id2 = board.admit(JobSpec::Grid(grid), "bob".into(), Class::Batch, 2);
+        let id2 = board.admit(JobSpec::Grid(grid), "bob".into(), Class::Batch);
         let settled = set(&board, id2, 0, CellState::Failed("no such workload".into()));
         assert_eq!(settled, Some(("bob".into(), Class::Batch)));
         let job = board.get(id2).expect("job");
@@ -476,7 +463,7 @@ mod tests {
     #[test]
     fn staged_cells_hold_the_gather_until_the_roll_commits() {
         let board = JobBoard::new();
-        let id = board.admit(JobSpec::Grid(tiny_grid()), "dana".into(), Class::Batch, 2);
+        let id = board.admit(JobSpec::Grid(tiny_grid()), "dana".into(), Class::Batch);
 
         // One cell settles normally; the other finished on a mid-rollout
         // shard, so its result is staged. The batch must NOT gather yet.
@@ -505,7 +492,6 @@ mod tests {
             JobSpec::Run(RunSpec::default()),
             "erin".into(),
             Class::Interactive,
-            1,
         );
         set(&board, id, 0, CellState::Staged(Json::from(42u64)));
 
@@ -532,16 +518,16 @@ mod tests {
         let board = JobBoard::new();
         assert_eq!(board.cancel(99), CancelOutcome::NotFound);
         let run = || JobSpec::Run(RunSpec::default());
-        let id = board.admit(run(), "c".into(), Class::Interactive, 1);
+        let id = board.admit(run(), "c".into(), Class::Interactive);
         assert_eq!(board.cancel(id), CancelOutcome::Cancelled);
         assert_eq!(board.state(id), Some(JobState::Cancelled));
-        // Dispatchers skip cancelled jobs; a second cancel is too late.
+        // Slots skip cancelled jobs; a second cancel is too late.
         assert_eq!(
             board.cancel(id),
             CancelOutcome::TooLate(JobState::Cancelled)
         );
 
-        let running = board.admit(run(), "c".into(), Class::Interactive, 1);
+        let running = board.admit(run(), "c".into(), Class::Interactive);
         let dispatched = CellState::Dispatched {
             shard: 0,
             remote: 1,
@@ -557,8 +543,8 @@ mod tests {
     fn active_ids_lists_only_unsettled_jobs() {
         let board = JobBoard::new();
         let run = || JobSpec::Run(RunSpec::default());
-        let a = board.admit(run(), "x".into(), Class::Interactive, 1);
-        let b = board.admit(run(), "x".into(), Class::Interactive, 1);
+        let a = board.admit(run(), "x".into(), Class::Interactive);
+        let b = board.admit(run(), "x".into(), Class::Interactive);
         set(&board, a, 0, CellState::Done(Json::Null));
         assert_eq!(board.active_ids(), vec![b]);
         assert_eq!(board.counts(), (2, 1));
@@ -567,49 +553,36 @@ mod tests {
     }
 
     #[test]
-    fn cells_follow_the_spec_and_are_homed_by_route_or_round_robin() {
+    fn cells_follow_the_spec_in_row_major_order() {
         let board = JobBoard::new();
         let grid = GridSpec {
             controllers: vec!["simple".into(), "dice".into(), "unison".into()],
             ..tiny_grid()
         };
-        let id = board.admit(JobSpec::Grid(grid.clone()), "h".into(), Class::Batch, 4);
+        let id = board.admit(JobSpec::Grid(grid.clone()), "h".into(), Class::Batch);
         let job = board.get(id).expect("job");
-        let homes: Vec<usize> = job.cells.iter().map(|c| c.home).collect();
-        assert_eq!(
-            homes,
-            [0, 1, 2, 3, 0, 1],
-            "grid cell i is homed on i % shards"
-        );
         let specs: Vec<RunSpec> = job.cells.iter().map(|c| c.spec.clone()).collect();
         assert_eq!(specs, grid.expand(), "cells keep row-major order");
 
-        for _ in 0..8 {
-            let run = board.admit(
-                JobSpec::Run(RunSpec::default()),
-                "h".into(),
-                Class::Interactive,
-                4,
-            );
-            let job = board.get(run).expect("job");
-            assert_eq!(job.cells.len(), 1);
-            assert_eq!(job.cells[0].home, crate::shard::route(run, 4));
-            assert_eq!(job.cells[0].spec, RunSpec::default());
-        }
+        let run = board.admit(
+            JobSpec::Run(RunSpec::default()),
+            "h".into(),
+            Class::Interactive,
+        );
+        let job = board.get(run).expect("job");
+        assert_eq!(job.cells.len(), 1);
+        assert_eq!(job.cells[0].spec, RunSpec::default());
     }
 
     #[test]
-    fn a_failed_over_single_streams_from_the_shard_it_was_dispatched_to() {
+    fn a_single_streams_from_the_shard_it_was_dispatched_to() {
         let board = JobBoard::new();
         let id = board.admit(
             JobSpec::Run(RunSpec::default()),
             "f".into(),
             Class::Interactive,
-            1,
         );
-        assert_eq!(board.get(id).expect("job").cells[0].home, 0);
         assert_eq!(board.get(id).expect("job").stream_target(), None);
-        // Shard 0 was quarantined; failover dispatched the cell to shard 1.
         let dispatched = CellState::Dispatched {
             shard: 1,
             remote: 5,
@@ -621,7 +594,7 @@ mod tests {
         assert_eq!(job.dispatched(Some(0)).count(), 0);
 
         // A grid never proxies a shard stream, even with one cell out.
-        let grid = board.admit(JobSpec::Grid(tiny_grid()), "f".into(), Class::Batch, 2);
+        let grid = board.admit(JobSpec::Grid(tiny_grid()), "f".into(), Class::Batch);
         set(&board, grid, 0, dispatched);
         assert_eq!(board.get(grid).expect("job").stream_target(), None);
     }
@@ -638,9 +611,8 @@ mod tests {
             JobSpec::Run(grid.expand().remove(0)),
             "g".into(),
             Class::Interactive,
-            2,
         );
-        let one = board.admit(JobSpec::Grid(grid), "g".into(), Class::Batch, 2);
+        let one = board.admit(JobSpec::Grid(grid), "g".into(), Class::Batch);
         set(&board, run, 0, cell());
         set(&board, one, 0, cell());
 

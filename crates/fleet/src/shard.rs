@@ -6,8 +6,8 @@
 //! `baryon-cli serve` and the self-forking test gates speak this
 //! contract. Every shard gets its own journal directory, so a restarted
 //! shard replays its journal, re-enqueues never-started jobs, and resumes
-//! interrupted runs from their checkpoints; the coordinator's pollers
-//! simply keep polling the same shard-local job IDs at the new address.
+//! interrupted runs from their checkpoints; the coordinator's dispatch
+//! slots keep following the same shard-local job IDs at the new address.
 
 use baryon_serve::client::Client;
 use std::io::{self, BufRead, BufReader};
@@ -129,8 +129,8 @@ struct Shard {
     /// Crash-loop backoff: the supervisor will not respawn before this.
     backoff_until: Option<Instant>,
     /// Quarantined shards exhausted their crash-loop budget: the
-    /// supervisor stops respawning them and the coordinator routes
-    /// around them. Only a deliberate
+    /// supervisor stops respawning them and their dispatch slots pull no
+    /// work. Only a deliberate
     /// [`ShardSet::restart_with_policy`] brings one back.
     quarantined: bool,
 }
@@ -177,17 +177,6 @@ pub fn respawn_backoff(consecutive: u32, index: usize) -> Duration {
         .min(BACKOFF_CAP_MS);
     let jitter = (index as u64 * 31 + consecutive as u64 * 17) % 100;
     Duration::from_millis(base + jitter)
-}
-
-/// What one [`ShardSet::restart`] attempt did.
-enum RestartOutcome {
-    /// A fresh incarnation is up.
-    Restarted,
-    /// Nothing happened (lost a race, or the respawn itself failed and
-    /// the next tick will retry).
-    Skipped,
-    /// The shard exhausted its crash-loop budget and was retired.
-    Quarantined,
 }
 
 /// The fleet's shard processes: fixed count, each supervised and restarted
@@ -302,12 +291,10 @@ impl ShardSet {
             .paused = false;
     }
 
-    /// Whether the shard is paused.
-    pub fn is_paused(&self, index: usize) -> bool {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused
+    /// Whether the shard takes new work: neither paused nor quarantined.
+    pub fn in_rotation(&self, index: usize) -> bool {
+        let shard = self.slots[index].lock().expect("shard lock poisoned");
+        !shard.paused && !shard.quarantined
     }
 
     /// Whether the shard has exhausted its crash-loop budget and been
@@ -355,12 +342,8 @@ impl ShardSet {
     /// kill-and-restart any shard failing [`MAX_HEALTH_FAILURES`]
     /// consecutive probes. A shard that blows through its crash-loop
     /// budget (`BARYON_FLEET_QUARANTINE_AFTER` rapid respawns) is
-    /// quarantined instead of respawned again; the returned indices are
-    /// the shards that were newly quarantined this tick, so the caller
-    /// can fail their in-flight work over to healthy shards.
-    pub fn check_and_restart(&self) -> Vec<usize> {
-        let mut restarted = 0;
-        let mut newly_quarantined = Vec::new();
+    /// quarantined instead of respawned again.
+    pub fn check_and_restart(&self) {
         for (i, slot) in self.slots.iter().enumerate() {
             // Probe without holding the lock — a slow shard must not
             // block address lookups on the dispatch path.
@@ -400,17 +383,10 @@ impl ShardSet {
                     }
                 }
             };
-            if !unhealthy {
-                continue;
-            }
-            match self.restart(i, generation) {
-                RestartOutcome::Restarted => restarted += 1,
-                RestartOutcome::Quarantined => newly_quarantined.push(i),
-                RestartOutcome::Skipped => {}
+            if unhealthy && self.restart(i, generation) {
+                self.restarts.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.restarts.fetch_add(restarted, Ordering::Relaxed);
-        newly_quarantined
     }
 
     /// Kills (if still alive) and respawns the shard on its journal
@@ -418,16 +394,18 @@ impl ShardSet {
     /// respawns landing within [`RESPAWN_WINDOW`] of the previous one arm
     /// an exponential backoff the supervisor honours before the next try,
     /// and once they exhaust the quarantine budget the shard is retired
-    /// instead of respawned.
-    fn restart(&self, index: usize, expected_generation: u64) -> RestartOutcome {
+    /// instead of respawned. Returns whether a fresh incarnation is up
+    /// (`false` after a lost race, a failed respawn the next tick retries,
+    /// or a quarantine).
+    fn restart(&self, index: usize, expected_generation: u64) -> bool {
         let policy_path = {
             let mut shard = self.slots[index].lock().expect("shard lock poisoned");
             if shard.generation != expected_generation {
-                return RestartOutcome::Skipped;
+                return false;
             }
             // Spend the crash-loop budget before paying for a spawn: if
             // this respawn would be the one that exhausts it, retire the
-            // shard now — the coordinator re-dispatches its jobs.
+            // shard now — the coordinator requeues its cells.
             let now = Instant::now();
             let prospective = match shard.last_respawn {
                 Some(last) if now.duration_since(last) < RESPAWN_WINDOW => {
@@ -442,7 +420,7 @@ impl ShardSet {
                 eprintln!(
                     "baryon-fleet: shard {index} quarantined after {prospective} rapid respawns"
                 );
-                return RestartOutcome::Quarantined;
+                return false;
             }
             shard.policy_path.clone()
         };
@@ -455,7 +433,7 @@ impl ShardSet {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            return RestartOutcome::Skipped;
+            return false;
         }
         let _ = shard.child.kill();
         let _ = shard.child.wait();
@@ -479,13 +457,13 @@ impl ShardSet {
                 shard.addr = addr;
                 shard.generation += 1;
                 shard.health_failures = 0;
-                RestartOutcome::Restarted
+                true
             }
             Err(e) => {
                 // The old child is dead and the new one would not come up;
                 // the next tick retries once the backoff elapses.
                 eprintln!("baryon-fleet: shard {index} restart failed: {e}");
-                RestartOutcome::Skipped
+                false
             }
         }
     }
@@ -570,41 +548,9 @@ impl Drop for ShardSet {
     }
 }
 
-/// Hash-routes a fleet job ID onto one of `shards` worker shards
-/// (Fibonacci multiplicative hash — IDs are sequential, and a plain
-/// modulo would stripe consecutive jobs onto consecutive shards, which is
-/// fine, but hashing also spreads any strided submission pattern).
-pub fn route(id: u64, shards: usize) -> usize {
-    let mixed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (mixed >> 32) as usize % shards.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn route_is_stable_and_in_range() {
-        for shards in 1..=8usize {
-            for id in 0..1000u64 {
-                let s = route(id, shards);
-                assert!(s < shards);
-                assert_eq!(s, route(id, shards), "same id, same shard");
-            }
-        }
-    }
-
-    #[test]
-    fn route_spreads_sequential_ids() {
-        let shards = 3;
-        let mut counts = [0usize; 3];
-        for id in 1..=300u64 {
-            counts[route(id, shards)] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(c > 50, "shard {i} starved: {counts:?}");
-        }
-    }
 
     #[test]
     fn spawn_contract_rejects_a_silent_child() {

@@ -1,9 +1,10 @@
-//! QoS and quota edge cases against a real fleet (coordinator + one
-//! forked shard): quota release when a disconnected client's job
-//! settles, `Retry-After` under simultaneous class-cap and quota
-//! exhaustion (the 429 wins), and interactive starvation-freedom under
-//! a saturating batch backlog.
+//! QoS and quota edge cases against a real fleet (coordinator + forked
+//! shards): quota release when a disconnected client's job settles,
+//! `Retry-After` under simultaneous class-cap and quota exhaustion (the
+//! 429 wins), interactive starvation-freedom under a saturating batch
+//! backlog, and a paused shard's work running on the other shard.
 
+use baryon_bench::spec::{GridSpec, JobSpec, RunSpec};
 use baryon_fleet::harness::GateFleet;
 use baryon_fleet::{FleetConfig, ShardLauncher};
 use baryon_sim::json::{self, Json};
@@ -12,9 +13,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Boots a one-shard fleet whose shard is the `fleet_gate` binary in
+/// Boots a fleet of one-worker shards, each the `fleet_gate` binary in
 /// `--shard` mode.
-fn boot(tag: &str, queue_cap: usize, max_in_flight_per_client: usize) -> GateFleet {
+fn boot(tag: &str, shards: usize, queue_cap: usize, max_in_flight_per_client: usize) -> GateFleet {
     let launcher = ShardLauncher {
         program: PathBuf::from(env!("CARGO_BIN_EXE_fleet_gate")),
         prefix_args: vec!["--shard".to_owned()],
@@ -25,7 +26,7 @@ fn boot(tag: &str, queue_cap: usize, max_in_flight_per_client: usize) -> GateFle
     };
     let cfg = FleetConfig {
         port: 0,
-        shards: 1,
+        shards,
         workers_per_shard: 1,
         shard_queue_depth: 64,
         queue_cap,
@@ -121,7 +122,7 @@ const RUN: &str = r#"{"workload":"ycsb-a","controller":"simple","insts":20000,"w
 
 #[test]
 fn quota_releases_when_a_disconnected_clients_job_settles() {
-    let h = boot("disconnect", 16, 1);
+    let h = boot("disconnect", 1, 16, 1);
     // Pause the only shard so the first job deterministically stays in
     // flight (queued, requeueing) while we probe the quota.
     h.controller().pause_shard(0);
@@ -178,7 +179,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
 
 #[test]
 fn quota_beats_queue_full_and_retry_after_matches_class() {
-    let h = boot("retry-after", 2, 2);
+    let h = boot("retry-after", 1, 2, 2);
     h.controller().pause_shard(0);
     // Client "q" fills its own quota (2 in flight).
     let mut ids = Vec::new();
@@ -194,8 +195,8 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
         ids.push(body_id(&body));
     }
     // Saturate the interactive queue from other clients: with the shard
-    // paused, dispatchers hold at most a couple of popped items, so a
-    // bounded burst must hit `503 queue_full`.
+    // paused, its one slot holds at most one popped item, so a bounded
+    // burst must hit `503 queue_full`.
     let mut saw_queue_full = false;
     for i in 0..20 {
         let client = format!("filler-{i}");
@@ -269,7 +270,7 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
 
 #[test]
 fn interactive_stays_live_under_saturating_batch_load() {
-    let h = boot("starvation", 256, 64);
+    let h = boot("starvation", 1, 256, 64);
     // A standing batch backlog: several grids, all cells on the single
     // one-worker shard.
     let grid = r#"{"grid":{"workloads":["ycsb-a","pr.twi"],"controllers":["simple","baryon"],"insts":100000,"warmup":10000,"scale":1024,"seed":7}}"#;
@@ -312,4 +313,30 @@ fn interactive_stays_live_under_saturating_batch_load() {
     for id in batch_ids {
         await_state(&h, id, "done");
     }
+}
+
+#[test]
+fn a_paused_shards_work_runs_on_the_other_shard() {
+    let h = boot("paused", 2, 16, 4);
+    h.controller().pause_shard(0);
+    let grid = JobSpec::Grid(GridSpec {
+        workloads: vec!["ycsb-a".into(), "pr.twi".into()],
+        controllers: vec!["simple".into()],
+        base: RunSpec {
+            insts: 20_000,
+            warmup: 2_000,
+            scale: 2048,
+            seed: 3,
+            ..RunSpec::default()
+        },
+    });
+    let golden = grid.execute().expect("grid runs").render();
+    let id = h
+        .submit(&grid.to_json().render(), "grid")
+        .expect("grid admitted");
+    // Both cells gather while shard 0 stays paused: shard 1's slot pulls
+    // them one after the other.
+    h.await_identical(id, &golden, "grid beside a paused shard")
+        .expect("the grid gathers on shard 1");
+    h.controller().unpause_shard(0);
 }

@@ -17,6 +17,7 @@
 use crate::error::{ApiError, ErrorCode};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// Why a request failed, split by phase so callers can react differently
@@ -265,7 +266,9 @@ impl Client {
 
     /// Opens a streamed (chunked transfer encoding) GET and invokes
     /// `on_line` with each newline-terminated event line as it arrives,
-    /// returning once the server terminates the stream. A non-chunked
+    /// returning once the server terminates the stream, or as soon as
+    /// `on_line` returns [`ControlFlow::Break`] (the connection is then
+    /// dropped). A non-chunked
     /// response is treated as the API refusing to stream: its body is
     /// decoded into [`ClientError::Api`].
     ///
@@ -274,7 +277,11 @@ impl Client {
     /// [`ClientError::Connect`] / [`ClientError::Timeout`] / [`ClientError::Io`]
     /// as for [`Client::request`]; [`ClientError::Api`] when the server
     /// answered with a plain (error) response instead of a stream.
-    pub fn stream(&self, path: &str, on_line: &mut dyn FnMut(&str)) -> Result<(), ClientError> {
+    pub fn stream(
+        &self,
+        path: &str,
+        on_line: &mut dyn FnMut(&str) -> ControlFlow<()>,
+    ) -> Result<(), ClientError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)
             .map_err(ClientError::Connect)?;
         let mut exchange = || -> io::Result<Result<(), ClientResponse>> {
@@ -320,12 +327,14 @@ impl Client {
                     std::str::from_utf8(&chunk).map_err(|_| malformed("chunk is not UTF-8"))?,
                 );
                 while let Some(pos) = pending.find('\n') {
-                    on_line(pending[..pos].trim_end_matches('\r'));
+                    if on_line(pending[..pos].trim_end_matches('\r')).is_break() {
+                        return Ok(Ok(()));
+                    }
                     pending.drain(..=pos);
                 }
             }
             if !pending.is_empty() {
-                on_line(&pending);
+                let _ = on_line(&pending);
             }
             Ok(Ok(()))
         };
@@ -769,9 +778,28 @@ mod tests {
         ]);
         let mut lines = Vec::new();
         Client::new(addr)
-            .stream("/v1/jobs/1/events", &mut |line| lines.push(line.to_owned()))
+            .stream("/v1/jobs/1/events", &mut |line| {
+                lines.push(line.to_owned());
+                ControlFlow::Continue(())
+            })
             .expect("stream completes");
         assert_eq!(lines, ["a", "bc"]);
+    }
+
+    #[test]
+    fn stream_stops_at_the_first_break() {
+        let addr = canned_server(&[
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+             4\r\na\nb\n\r\n2\r\nc\n\r\n0\r\n\r\n",
+        ]);
+        let mut lines = Vec::new();
+        Client::new(addr)
+            .stream("/v1/jobs/1/events", &mut |line| {
+                lines.push(line.to_owned());
+                ControlFlow::Break(())
+            })
+            .expect("a break ends the stream cleanly");
+        assert_eq!(lines, ["a"]);
     }
 
     #[test]
@@ -786,7 +814,7 @@ mod tests {
         );
         let addr = canned_server(Box::leak(Box::new([raw])));
         let err = Client::new(addr)
-            .stream("/v1/jobs/999/events", &mut |_| {})
+            .stream("/v1/jobs/999/events", &mut |_| ControlFlow::Continue(()))
             .expect_err("404 is not a stream");
         assert_eq!(err.code(), Some(ErrorCode::NotFound));
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use baryon_bench::spec::JobSpec;
-use baryon_sim::json::Json;
+use baryon_sim::json::{self, Json};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -59,8 +59,9 @@ pub struct JobRecord {
     pub state: JobState,
     /// The submitted spec, for echoing back in status documents.
     pub spec: JobSpec,
-    /// Result document once `Done`.
-    pub result: Option<Json>,
+    /// Result document once `Done`, kept rendered: a retained finished
+    /// job holds its ~2 KB of JSON text, not a tree four times that size.
+    pub result: Option<String>,
     /// Error message once `Failed`.
     pub error: Option<String>,
     /// Execution wall time in microseconds, once finished.
@@ -83,7 +84,8 @@ impl JobRecord {
             pairs.push(("error".to_owned(), Json::from(err.as_str())));
         }
         if let Some(result) = &self.result {
-            pairs.push(("result".to_owned(), result.clone()));
+            let doc = json::parse(result).expect("a stored result is rendered JSON");
+            pairs.push(("result".to_owned(), doc));
         }
         Json::Obj(pairs)
     }
@@ -273,7 +275,7 @@ impl JobTable {
         match outcome {
             Ok(result) => {
                 record.state = JobState::Done;
-                record.result = Some(result);
+                record.result = Some(result.render());
             }
             Err(message) => {
                 record.state = JobState::Failed;
@@ -318,7 +320,7 @@ mod tests {
         let r = t.get(id).expect("exists");
         assert_eq!(r.state, JobState::Done);
         assert_eq!(r.wall_us, Some(123));
-        assert_eq!(r.result, Some(Json::Null));
+        assert_eq!(r.result.as_deref(), Some("null"));
         assert!(r.error.is_none());
     }
 
@@ -418,7 +420,7 @@ mod tests {
             id: 7,
             state: JobState::Done,
             spec: spec(),
-            result: Some(Json::Null),
+            result: Some("null".to_owned()),
             error: None,
             wall_us: None,
         });

@@ -14,7 +14,10 @@
 //! stops at the first incomplete or CRC-mismatching record — the write
 //! that was in flight when the process died — and every record before it
 //! is returned intact. A record is *committed* once its bytes and CRC are
-//! fully on disk; truncation can only ever lose the uncommitted tail.
+//! fully on disk; truncation can only ever lose the uncommitted tail. The
+//! journal never keeps a damaged frame in front of later records: a failed
+//! append is cut back off, and opening a journal cuts it back to its last
+//! good frame, so records appended after a fault stay replayable.
 //!
 //! [`recover`] folds a replayed event stream back into per-job fates:
 //! jobs that never started are re-enqueued, jobs that were mid-run are
@@ -23,11 +26,11 @@
 //! jobs are re-installed with their journaled outcome.
 
 use baryon_compress::crc::crc32;
-use baryon_sim::faultfs;
+use baryon_sim::faultfs::{self, FaultFs};
 use baryon_sim::wire::{Reader, WireError, Writer};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -149,17 +152,22 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating as needed) the journal inside `dir`.
+    /// Opens (creating as needed) the journal inside `dir`, cutting it
+    /// back to its last good frame: replay stops at a torn or corrupt
+    /// frame, so anything appended behind one would be lost.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and open failures.
+    /// Propagates directory-creation, open, read and truncation failures.
     pub fn open(dir: &Path) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(JOURNAL_FILE))?;
+        let path = dir.join(JOURNAL_FILE);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let bytes = fs::read(&path)?;
+        let (_, committed) = decode_records(&bytes);
+        if committed < bytes.len() {
+            file.set_len(committed as u64)?;
+        }
         Ok(Journal {
             file: Mutex::new(file),
         })
@@ -174,16 +182,34 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates write and sync failures (real or injected).
+    /// Propagates write and sync failures (real or injected). A failed
+    /// append is cut back off the file, so it leaves no record behind.
     pub fn append(&self, event: &JournalEvent) -> io::Result<()> {
+        self.append_with(event, faultfs::global())
+    }
+
+    /// [`Journal::append`] through the injector `faults` (plain I/O when
+    /// `None`).
+    fn append_with(&self, event: &JournalEvent, faults: Option<&FaultFs>) -> io::Result<()> {
         let payload = event.encode();
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&crc32(&payload).to_le_bytes());
         record.extend_from_slice(&payload);
         let mut file = self.file.lock().expect("journal lock poisoned");
-        faultfs::append(&mut file, &record)?;
-        faultfs::sync_data(&file)
+        let committed = file.metadata()?.len();
+        let written = match faults {
+            Some(fs) => fs
+                .append(&mut file, &record)
+                .and_then(|()| fs.sync_data(&file)),
+            None => file.write_all(&record).and_then(|()| file.sync_data()),
+        };
+        if written.is_err() {
+            // A torn or unsynced record would sit in front of every later
+            // one; if the cut fails too, the next open cuts it.
+            let _ = file.set_len(committed);
+        }
+        written
     }
 
     /// Replays every committed record of the journal in `dir`, in append
@@ -199,14 +225,15 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        Ok(decode_records(&bytes))
+        Ok(decode_records(&bytes).0)
     }
 }
 
 /// Decodes as many whole, CRC-valid records as the buffer holds, stopping
-/// at the first incomplete or corrupt one. Never panics: any byte prefix
-/// of a valid journal decodes to a prefix of its records.
-fn decode_records(bytes: &[u8]) -> Vec<JournalEvent> {
+/// at the first incomplete or corrupt one, and returns them with the byte
+/// length they span. Never panics: any byte prefix of a valid journal
+/// decodes to a prefix of its records.
+fn decode_records(bytes: &[u8]) -> (Vec<JournalEvent>, usize) {
     let mut events = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= 8 {
@@ -224,7 +251,7 @@ fn decode_records(bytes: &[u8]) -> Vec<JournalEvent> {
         events.push(event);
         pos += 8 + len;
     }
-    events
+    (events, pos)
 }
 
 /// What a journaled job resolved to after replay.
@@ -315,6 +342,7 @@ pub fn recover(events: &[JournalEvent]) -> (Vec<RecoveredJob>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baryon_sim::faultfs::FaultRates;
 
     fn events() -> Vec<JournalEvent> {
         vec![
@@ -461,6 +489,56 @@ mod tests {
         fs::write(&path, &damaged).expect("write damaged");
         let back = Journal::replay(&dir).expect("replay");
         assert_eq!(back, events()[..1]);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_record_behind() {
+        let dir = temp_dir("failed-append");
+        let journal = Journal::open(&dir).expect("open");
+        let all = events();
+        journal.append(&all[0]).expect("append");
+        for rates in [
+            FaultRates {
+                write_fail_ppm: 1_000_000,
+                ..FaultRates::default()
+            },
+            FaultRates {
+                fsync_fail_ppm: 1_000_000,
+                ..FaultRates::default()
+            },
+        ] {
+            let faults = FaultFs::new(3, rates);
+            assert!(journal.append_with(&all[1], Some(&faults)).is_err());
+        }
+        for event in &all[1..] {
+            journal.append(event).expect("append");
+        }
+        assert_eq!(Journal::replay(&dir).expect("replay"), all);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn opening_cuts_a_damaged_tail_so_later_appends_replay() {
+        let dir = temp_dir("reopen-damaged");
+        let journal = Journal::open(&dir).expect("open");
+        let all = events();
+        for event in &all[..2] {
+            journal.append(event).expect("append");
+        }
+        drop(journal);
+        // Silently rot the second record, as a crash-time corruption would.
+        let path = dir.join(JOURNAL_FILE);
+        let mut bytes = fs::read(&path).expect("read");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        fs::write(&path, &bytes).expect("write damaged");
+        let journal = Journal::open(&dir).expect("reopen");
+        journal.append(&all[2]).expect("append");
+        assert_eq!(
+            Journal::replay(&dir).expect("replay"),
+            [all[0].clone(), all[2].clone()]
+        );
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

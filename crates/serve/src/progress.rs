@@ -100,22 +100,34 @@ impl ProgressBoard {
             .cloned()
     }
 
-    /// Blocks until `id` has a snapshot with `seq > after`, or `timeout`
-    /// elapses. Returns the newer snapshot, or `None` on timeout (callers
-    /// re-check job state and come back — settled jobs stop publishing).
-    pub fn wait_past(&self, id: u64, after: u64, timeout: Duration) -> Option<JobProgress> {
+    /// Blocks until `id` has a snapshot with `seq > after`, `ended()`
+    /// holds, or `timeout` elapses. Returns the newer snapshot, or `None`
+    /// on timeout or end (callers re-check job state and come back —
+    /// settled jobs stop publishing).
+    ///
+    /// `ended` is asked under the board lock, and a job's end must be
+    /// visible to it before the job's last [`ProgressBoard::publish`] or
+    /// [`ProgressBoard::remove`]: then an end that lands between a
+    /// caller's own state check and this wait still wakes it at once.
+    pub fn wait_past(
+        &self,
+        id: u64,
+        after: u64,
+        timeout: Duration,
+        ended: impl Fn() -> bool,
+    ) -> Option<JobProgress> {
         let inner = self.inner.lock().expect("progress lock poisoned");
         let (inner, timed_out) = self
             .moved
             .wait_timeout_while(inner, timeout, |map| {
-                map.get(&id).is_none_or(|p| p.seq <= after)
+                map.get(&id).is_none_or(|p| p.seq <= after) && !ended()
             })
             .map(|(guard, result)| (guard, result.timed_out()))
             .expect("progress lock poisoned");
         if timed_out {
             return None;
         }
-        inner.get(&id).cloned()
+        inner.get(&id).filter(|p| p.seq > after).cloned()
     }
 
     /// Drops a settled job's snapshot (its final state now lives in the
@@ -217,9 +229,9 @@ impl EventCursor {
         }
     }
 
-    /// Waits up to 500 ms for the job's progress to move; after
-    /// `STREAM_HEARTBEAT_WAITS` empty waits in a row, sends an `alive`
-    /// heartbeat.
+    /// Waits up to 500 ms for the job's progress to move or for `ended()`
+    /// (see [`ProgressBoard::wait_past`]); after `STREAM_HEARTBEAT_WAITS`
+    /// empty waits in a row, sends an `alive` heartbeat.
     ///
     /// # Errors
     ///
@@ -228,9 +240,10 @@ impl EventCursor {
         &mut self,
         board: &ProgressBoard,
         stream: &mut ChunkedWriter<W>,
+        ended: impl Fn() -> bool,
     ) -> io::Result<()> {
         if board
-            .wait_past(self.id, self.last_seq, Duration::from_millis(500))
+            .wait_past(self.id, self.last_seq, Duration::from_millis(500), ended)
             .is_some()
         {
             return Ok(());
@@ -250,7 +263,9 @@ impl EventCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn publish_bumps_seq_and_get_sees_it() {
@@ -276,10 +291,12 @@ mod tests {
     fn wait_past_times_out_without_updates() {
         let board = ProgressBoard::new();
         board.publish(1, |p| p.ops = 1);
-        assert!(board.wait_past(1, 1, Duration::from_millis(10)).is_none());
+        assert!(board
+            .wait_past(1, 1, Duration::from_millis(10), || false)
+            .is_none());
         // seq 1 already satisfies `after = 0` — returns immediately.
         let p = board
-            .wait_past(1, 0, Duration::from_millis(10))
+            .wait_past(1, 0, Duration::from_millis(10), || false)
             .expect("already past");
         assert_eq!(p.seq, 1);
     }
@@ -288,11 +305,42 @@ mod tests {
     fn wait_past_wakes_on_publish() {
         let board = Arc::new(ProgressBoard::new());
         let waiter = Arc::clone(&board);
-        let handle = std::thread::spawn(move || waiter.wait_past(9, 0, Duration::from_secs(5)));
+        let handle =
+            std::thread::spawn(move || waiter.wait_past(9, 0, Duration::from_secs(5), || false));
         std::thread::sleep(Duration::from_millis(20));
         board.publish(9, |p| p.ops = 42);
         let p = handle.join().expect("no panic").expect("woken");
         assert_eq!(p.ops, 42);
+    }
+
+    #[test]
+    fn wait_past_ends_with_the_job_even_if_it_never_published() {
+        let board = Arc::new(ProgressBoard::new());
+        let ended = Arc::new(AtomicBool::new(false));
+        let (waiter, flag) = (Arc::clone(&board), Arc::clone(&ended));
+        let handle = std::thread::spawn(move || {
+            let started = Instant::now();
+            let seen =
+                waiter.wait_past(5, 0, Duration::from_secs(5), || flag.load(Ordering::SeqCst));
+            (seen, started.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        // A settle: the end becomes visible, then the board lets go.
+        ended.store(true, Ordering::SeqCst);
+        board.remove(5);
+        let (seen, waited) = handle.join().expect("no panic");
+        assert_eq!(seen, None);
+        assert!(waited < Duration::from_secs(1), "woke late: {waited:?}");
+        // An end that landed before the wait began returns at once, even
+        // if the job published and dropped a snapshot in between: only
+        // `ended` can tell the waiter.
+        let started = Instant::now();
+        assert_eq!(board.wait_past(6, 0, Duration::from_secs(5), || true), None);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // A job that has not ended keeps its waiter parked until timeout.
+        assert!(board
+            .wait_past(7, 0, Duration::from_millis(10), || false)
+            .is_none());
     }
 
     #[test]

@@ -391,7 +391,7 @@ fn recover_from_journal(shared: &Shared, dir: &std::path::Path) -> io::Result<()
             RecoveredState::Finished { ok, body } => {
                 let (state, result, error) = if ok {
                     match json::parse(&body) {
-                        Ok(doc) => (JobState::Done, Some(doc), None),
+                        Ok(_) => (JobState::Done, Some(body), None),
                         Err(e) => (
                             JobState::Failed,
                             None,
@@ -716,7 +716,11 @@ fn stream_events(shared: &Shared, id: u64, writer: &mut TcpStream) -> io::Result
             // what we know.
             None => return end_stream(stream, id, "evicted"),
             Some(state) if state.is_settled() => return end_stream(stream, id, state.as_str()),
-            Some(_) => cursor.wait(&shared.progress, &mut stream)?,
+            // `run_job` settles a job before it removes its snapshot, so
+            // a settle between the check above and this wait wakes it.
+            Some(_) => cursor.wait(&shared.progress, &mut stream, || {
+                shared.jobs.state(id).is_none_or(JobState::is_settled)
+            })?,
         }
     }
 }

@@ -13,6 +13,7 @@ use baryon_serve::client::{self, ClientResponse};
 use baryon_serve::{ServeConfig, Server};
 use baryon_sim::json::{parse, Json};
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Boots a server and returns its address plus the join handle.
@@ -394,7 +395,8 @@ fn events_stream_delivers_monotonic_progress_then_end() {
     let mut lines = Vec::new();
     baryon_serve::client::Client::new(addr)
         .stream(&format!("/v1/jobs/{id}/events"), &mut |line| {
-            lines.push(line.to_owned())
+            lines.push(line.to_owned());
+            ControlFlow::Continue(())
         })
         .expect("stream runs to completion");
     assert!(!lines.is_empty(), "stream delivered nothing");
@@ -454,7 +456,7 @@ fn events_stream_delivers_monotonic_progress_then_end() {
 fn events_stream_for_unknown_job_is_a_typed_404() {
     let (addr, handle) = boot(1, 2);
     let err = baryon_serve::client::Client::new(addr)
-        .stream("/v1/jobs/424242/events", &mut |_| {})
+        .stream("/v1/jobs/424242/events", &mut |_| ControlFlow::Continue(()))
         .expect_err("no such job");
     assert_eq!(err.code(), Some(baryon_serve::ErrorCode::NotFound), "{err}");
     shutdown(addr, handle);

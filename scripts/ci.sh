@@ -56,6 +56,7 @@ cargo test -q -p baryon-bench --release --offline --test differential_golden
 
 # Fleet gate: one binary, three scenarios, each on a fresh coordinator
 # over 3 real shard processes (the binary re-invoked as its own shards).
+# No cell has a home shard: each runs on whichever shard's worker pulls it.
 #  - kill: SIGKILL a shard while a batched grid sweep is in flight; the
 #    supervisor must restart it, the gathered result must be byte-identical
 #    to a single-process run, the event stream's progress monotonic, and
@@ -70,7 +71,8 @@ cargo test -q -p baryon-bench --release --offline --test differential_golden
 #  - chaos: seeded fault injection on every shard (torn/failed journal
 #    appends, silent post-write corruption, read flips, fsync failures,
 #    post-CRC response flips) plus a forced crash loop: one shard must be
-#    quarantined with singles failing over, rotten checkpoint rotations
+#    quarantined and the quarantined shard's in-flight singles fail over
+#    to the healthy shards, rotten checkpoint rotations
 #    must be quarantined down the fallback ladder to a cold run, and an
 #    8-cell sweep over the degraded fleet must lose zero jobs and gather
 #    byte-identical to a fault-free run. To reproduce a failure exactly,
