@@ -1,104 +1,6 @@
-//! §IV-B energy comparison: memory-system energy of Baryon vs the cache-
-//! and flat-mode baselines.
-//!
-//! The paper reports Baryon saving 31.9% vs Unison Cache, 13.0% vs DICE,
-//! and Baryon-FA saving 14.5% vs Hybrid2, mostly from reduced slow-memory
-//! traffic.
-
-use baryon_bench::{banner, run, timed, write_csv, Params};
-use baryon_core::config::BaryonConfig;
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::geomean;
-use std::collections::BTreeMap;
+//! The `energy` figure target; the figure itself is
+//! [`baryon_bench::figures::energy`].
 
 fn main() {
-    let params = Params::from_env();
-    banner("Energy", "memory-system energy, normalized per workload");
-
-    let cache_contenders: Vec<(&str, ControllerKind)> = vec![
-        ("unison", ControllerKind::Unison),
-        ("dice", ControllerKind::Dice),
-        (
-            "baryon",
-            ControllerKind::Baryon(BaryonConfig::default_cache_mode(params.scale)),
-        ),
-    ];
-    let flat_contenders: Vec<(&str, ControllerKind)> = vec![
-        ("hybrid2", ControllerKind::Hybrid2),
-        (
-            "baryon-fa",
-            ControllerKind::Baryon(BaryonConfig::default_flat_fa(params.scale)),
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    let mut ratios: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-
-    println!("\n--- cache mode: energy (mJ) ---");
-    println!(
-        "{:<16} {:>9} {:>9} {:>9}",
-        "workload", "unison", "dice", "baryon"
-    );
-    for w in params.workloads() {
-        let mut energies = Vec::new();
-        for (label, kind) in &cache_contenders {
-            let r = timed(&format!("{} {}", w.name, label), || {
-                run(&params, &w, kind.clone())
-            });
-            energies.push((*label, r.energy_mj()));
-        }
-        println!(
-            "{:<16} {:>9.3} {:>9.3} {:>9.3}",
-            w.name, energies[0].1, energies[1].1, energies[2].1
-        );
-        let baryon = energies[2].1;
-        ratios
-            .entry("vs_unison")
-            .or_default()
-            .push(baryon / energies[0].1);
-        ratios
-            .entry("vs_dice")
-            .or_default()
-            .push(baryon / energies[1].1);
-        rows.push(format!(
-            "cache,{},{:.4},{:.4},{:.4}",
-            w.name, energies[0].1, energies[1].1, energies[2].1
-        ));
-    }
-
-    println!("\n--- flat mode: energy (mJ) ---");
-    println!("{:<16} {:>9} {:>9}", "workload", "hybrid2", "baryon-fa");
-    for w in params.workloads() {
-        let mut energies = Vec::new();
-        for (label, kind) in &flat_contenders {
-            let r = timed(&format!("{} {}", w.name, label), || {
-                run(&params, &w, kind.clone())
-            });
-            energies.push((*label, r.energy_mj()));
-        }
-        println!(
-            "{:<16} {:>9.3} {:>9.3}",
-            w.name, energies[0].1, energies[1].1
-        );
-        ratios
-            .entry("vs_hybrid2")
-            .or_default()
-            .push(energies[1].1 / energies[0].1);
-        rows.push(format!(
-            "flat,{},{:.4},{:.4},",
-            w.name, energies[0].1, energies[1].1
-        ));
-    }
-
-    println!("\n--- geomean energy savings ---");
-    for (key, paper) in [("vs_unison", 31.9), ("vs_dice", 13.0), ("vs_hybrid2", 14.5)] {
-        let g = geomean(&ratios[key]).unwrap_or(1.0);
-        println!(
-            "baryon {key:<11}: {:+.1}% (paper: -{paper:.1}%)",
-            (g - 1.0) * 100.0
-        );
-        rows.push(format!("summary,{key},{:.4},,", g));
-    }
-
-    write_csv("energy", "mode,workload,a,b,c", &rows);
+    baryon_bench::figures::energy::FIGURE.main();
 }

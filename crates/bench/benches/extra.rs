@@ -1,192 +1,6 @@
-//! Beyond-the-figures ablations the paper reports in prose or discusses in
-//! §III-F, on the representative subset (normalized to default Baryon):
-//!
-//! * **compressed fast-to-slow writeback** on/off — the paper reports the
-//!   optimization saving 7.2% slow-memory bandwidth and 3.1% performance;
-//! * **cache-area associativity** 1/2/4/8 and fully-associative (§III-F
-//!   "supporting high associativities");
-//! * **victim policy** LRU / FIFO / random (§III-E calls these orthogonal);
-//! * **C-Pack as a third compressor** (§III-B "alternative schemes");
-//! * the **static mixed cache + flat partition** (§III-A) across flat
-//!   fractions;
-//! * **related design points**: the OS page-migration strawman of §II-A
-//!   and the micro-sector cache of §V.
-
-use baryon_bench::{banner, run, timed, write_csv, Params};
-use baryon_core::config::{BaryonConfig, VictimPolicy};
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::geomean;
-
-/// Design points beyond the paper's evaluated baselines (§II-A's OS-based
-/// strawman and §V's micro-sector cache), compared against Baryon.
-fn related_design_points(params: &Params, rows: &mut Vec<String>) {
-    println!("\n--- related design points (speedup over os-paging) ---");
-    println!(
-        "{:<16} {:>10} {:>13} {:>9}",
-        "workload", "os-paging", "micro-sector", "baryon"
-    );
-    let mut geos: [Vec<f64>; 2] = Default::default();
-    for w in params.representative() {
-        let os = timed(&format!("{} os-paging", w.name), || {
-            run(params, &w, ControllerKind::OsPaging)
-        });
-        let ms = timed(&format!("{} micro-sector", w.name), || {
-            run(params, &w, ControllerKind::MicroSector)
-        });
-        let ba = timed(&format!("{} baryon", w.name), || {
-            run(
-                params,
-                &w,
-                ControllerKind::Baryon(BaryonConfig::default_cache_mode(params.scale)),
-            )
-        });
-        let s_ms = os.total_cycles as f64 / ms.total_cycles as f64;
-        let s_ba = os.total_cycles as f64 / ba.total_cycles as f64;
-        geos[0].push(s_ms);
-        geos[1].push(s_ba);
-        println!(
-            "{:<16} {:>10.3} {:>12.3}x {:>8.3}x",
-            w.name, 1.0, s_ms, s_ba
-        );
-        rows.push(format!("design_points,{},{:.4},{:.4}", w.name, s_ms, s_ba));
-    }
-    let g_ms = geomean(&geos[0]).unwrap_or(0.0);
-    let g_ba = geomean(&geos[1]).unwrap_or(0.0);
-    println!(
-        "{:<16} {:>10.3} {:>12.3}x {:>8.3}x",
-        "geomean", 1.0, g_ms, g_ba
-    );
-    rows.push(format!("design_points,geomean,{g_ms:.4},{g_ba:.4}"));
-    println!("(hardware management beats OS paging; packing sectors from");
-    println!(" multiple blocks helps; compression + staging helps further)");
-}
-
-type Tweak = Box<dyn Fn(&mut BaryonConfig)>;
-
-/// §III-A's static cache + flat combination across partition fractions,
-/// compared to the pure schemes on the representative subset.
-fn mixed_partition_sweep(params: &Params, rows: &mut Vec<String>) {
-    println!("\n--- mixed cache+flat partition (geomean cycles vs pure flat) ---");
-    let mut results: Vec<(String, Vec<f64>)> = Vec::new();
-    let points: Vec<(String, ControllerKind)> = vec![
-        (
-            "flat-1.00".into(),
-            ControllerKind::Baryon(BaryonConfig::default_flat_fa(params.scale)),
-        ),
-        (
-            "mixed-0.75".into(),
-            ControllerKind::Baryon(BaryonConfig::default_mixed(params.scale, 0.75)),
-        ),
-        (
-            "mixed-0.50".into(),
-            ControllerKind::Baryon(BaryonConfig::default_mixed(params.scale, 0.5)),
-        ),
-        (
-            "mixed-0.25".into(),
-            ControllerKind::Baryon(BaryonConfig::default_mixed(params.scale, 0.25)),
-        ),
-    ];
-    for (label, kind) in &points {
-        let mut cycles = Vec::new();
-        for w in params.representative() {
-            let r = timed(&format!("{} {label}", w.name), || {
-                run(params, &w, kind.clone())
-            });
-            cycles.push(r.total_cycles as f64);
-        }
-        results.push((label.clone(), cycles));
-    }
-    let base = results[0].1.clone();
-    for (label, cycles) in &results {
-        let rel: Vec<f64> = cycles.iter().zip(&base).map(|(c, b)| b / c).collect();
-        let g = geomean(&rel).unwrap_or(0.0);
-        println!("{label:<12} {g:>8.3}");
-        rows.push(format!("mixed,{label},{g:.4}"));
-    }
-    println!("(smaller flat partitions trade OS-visible capacity for cache");
-    println!(" flexibility; the paper supports any static split, §III-A)");
-}
+//! The `extra` figure target; the figure itself is
+//! [`baryon_bench::figures::extra`].
 
 fn main() {
-    let params = Params::from_env();
-    banner("Extra", "prose claims and §III-F discussions");
-
-    let subset = params.representative();
-    let mut variants: Vec<(String, Tweak)> = vec![
-        ("default".into(), Box::new(|_| {})),
-        (
-            "no-compressed-writeback".into(),
-            Box::new(|c| c.compressed_writeback = false),
-        ),
-        ("cpack".into(), Box::new(|c| c.use_cpack = true)),
-        (
-            "policy-fifo".into(),
-            Box::new(|c| c.victim_policy = VictimPolicy::Fifo),
-        ),
-        (
-            "policy-random".into(),
-            Box::new(|c| c.victim_policy = VictimPolicy::Random),
-        ),
-        (
-            "policy-clock".into(),
-            Box::new(|c| c.victim_policy = VictimPolicy::Clock),
-        ),
-        (
-            "policy-lfu".into(),
-            Box::new(|c| c.victim_policy = VictimPolicy::Lfu),
-        ),
-    ];
-    for assoc in [1usize, 2, 8] {
-        variants.push((format!("assoc-{assoc}"), Box::new(move |c| c.assoc = assoc)));
-    }
-    variants.push(("assoc-full".into(), Box::new(|c| c.assoc = usize::MAX)));
-
-    // Baseline runs (also capture slow-memory traffic for the bandwidth
-    // claim).
-    let mut rows = Vec::new();
-    let mut base: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-    for w in &subset {
-        let r = timed(&format!("{} default", w.name), || {
-            run(
-                &params,
-                w,
-                ControllerKind::Baryon(BaryonConfig::default_cache_mode(params.scale)),
-            )
-        });
-        base.insert(w.name, (r.total_cycles, r.serve.slow_bytes));
-    }
-
-    println!("\n{:<26} {:>10} {:>16}", "variant", "perf", "slow-traffic");
-    for (label, tweak) in &variants {
-        let mut perfs = Vec::new();
-        let mut traffic = Vec::new();
-        for w in &subset {
-            let mut cfg = BaryonConfig::default_cache_mode(params.scale);
-            tweak(&mut cfg);
-            let (cycles, slow) = if label == "default" {
-                base[w.name]
-            } else {
-                let r = timed(&format!("{} {label}", w.name), || {
-                    run(&params, w, ControllerKind::Baryon(cfg.clone()))
-                });
-                (r.total_cycles, r.serve.slow_bytes)
-            };
-            let (bc, bs) = base[w.name];
-            perfs.push(bc as f64 / cycles as f64);
-            traffic.push(slow as f64 / bs.max(1) as f64);
-        }
-        let gp = geomean(&perfs).unwrap_or(0.0);
-        let gt = geomean(&traffic).unwrap_or(0.0);
-        println!("{label:<26} {gp:>10.3} {gt:>15.3}x");
-        rows.push(format!("{label},{gp:.4},{gt:.4}"));
-    }
-
-    mixed_partition_sweep(&params, &mut rows);
-    related_design_points(&params, &mut rows);
-
-    println!("\npaper prose: removing compressed writeback should cost ~3.1%");
-    println!("performance and ~7.2% slow bandwidth; higher associativity helps");
-    println!("conflict misses; the victim policy is a second-order effect.");
-
-    write_csv("extra", "variant,rel_perf,rel_slow_traffic", &rows);
+    baryon_bench::figures::extra::FIGURE.main();
 }

@@ -1,60 +1,6 @@
-//! Fig 10: flat-mode performance — fully-associative Baryon (Baryon-FA)
-//! vs Hybrid2, normalized to Hybrid2.
-//!
-//! The paper reports 1.18x average and up to 2.50x.
-
-use baryon_bench::{banner, run_grid, timed, write_csv, Params};
-use baryon_core::config::BaryonConfig;
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::geomean;
+//! The `fig10` figure target; the figure itself is
+//! [`baryon_bench::figures::fig10`].
 
 fn main() {
-    let params = Params::from_env();
-    banner("Fig 10", "flat-mode speedup of Baryon-FA over Hybrid2");
-
-    let mut speedups = Vec::new();
-    let mut rows = Vec::new();
-    println!(
-        "{:<16} {:>12} {:>12} {:>9}",
-        "workload", "hybrid2", "baryon-fa", "speedup"
-    );
-    let workloads = params.workloads();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|w| {
-            [
-                (*w, ControllerKind::Hybrid2),
-                (
-                    *w,
-                    ControllerKind::Baryon(BaryonConfig::default_flat_fa(params.scale)),
-                ),
-            ]
-        })
-        .collect();
-    let results = timed("full fig10 grid", || run_grid(&params, jobs));
-    for (wi, w) in workloads.iter().enumerate() {
-        let h = &results[wi * 2];
-        let b = &results[wi * 2 + 1];
-        let s = h.total_cycles as f64 / b.total_cycles as f64;
-        speedups.push(s);
-        println!(
-            "{:<16} {:>12} {:>12} {:>8.3}x",
-            w.name, h.total_cycles, b.total_cycles, s
-        );
-        rows.push(format!(
-            "{},{},{},{:.4}",
-            w.name, h.total_cycles, b.total_cycles, s
-        ));
-    }
-    let g = geomean(&speedups).unwrap_or(0.0);
-    let max = speedups.iter().cloned().fold(0.0f64, f64::max);
-    println!("{}", "-".repeat(52));
-    println!("geomean {g:.3}x, max {max:.3}x  (paper: 1.18x avg, 2.50x max)");
-    rows.push(format!("geomean,,,{g:.4}"));
-
-    write_csv(
-        "fig10",
-        "workload,hybrid2_cycles,baryon_fa_cycles,speedup",
-        &rows,
-    );
+    baryon_bench::figures::fig10::FIGURE.main();
 }

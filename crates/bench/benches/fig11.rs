@@ -1,130 +1,6 @@
-//! Fig 11: performance analysis on representative workloads (cache mode):
-//! left — fast-memory serve rate (higher is better); right — fast-memory
-//! bandwidth bloat factor (total fast traffic / useful LLC traffic, lower
-//! is better). Includes the geomean over the full suite, as the paper does,
-//! plus a read-latency distribution table (p50/p95/p99) that the paper's
-//! serve-rate argument implies but does not plot.
-
-use baryon_bench::{banner, fig9_contenders, run, timed, write_csv, Params};
-use baryon_sim::summary::geomean;
-use std::collections::BTreeMap;
+//! The `fig11` figure target; the figure itself is
+//! [`baryon_bench::figures::fig11`].
 
 fn main() {
-    let params = Params::from_env();
-    banner(
-        "Fig 11",
-        "fast-memory serve rate and bandwidth bloat factor",
-    );
-
-    // The paper compares Unison / DICE / Baryon here.
-    let contenders: Vec<_> = fig9_contenders(params.scale)
-        .into_iter()
-        .filter(|(n, _)| ["unison", "dice", "baryon"].contains(&n.as_str()))
-        .collect();
-
-    let representative = params.representative();
-    let all = params.workloads();
-    let mut serve: BTreeMap<(String, String), f64> = BTreeMap::new();
-    let mut bloat: BTreeMap<(String, String), f64> = BTreeMap::new();
-    let mut latency: BTreeMap<(String, String), (u64, u64, u64)> = BTreeMap::new();
-
-    for w in &all {
-        for (label, kind) in &contenders {
-            let r = timed(&format!("{} {}", w.name, label), || {
-                run(&params, w, kind.clone())
-            });
-            serve.insert((w.name.into(), label.clone()), r.serve.fast_serve_rate());
-            bloat.insert((w.name.into(), label.clone()), r.serve.bloat_factor());
-            latency.insert(
-                (w.name.into(), label.clone()),
-                (
-                    r.read_latency.percentile(50.0),
-                    r.read_latency.percentile(95.0),
-                    r.read_latency.percentile(99.0),
-                ),
-            );
-        }
-    }
-
-    let mut rows = Vec::new();
-    println!("\n--- fast memory serve rate (%) ---");
-    println!(
-        "{:<16} {:>8} {:>8} {:>8}",
-        "workload", "unison", "dice", "baryon"
-    );
-    let print_row = |name: &str, table: &BTreeMap<(String, String), f64>, pct: bool| {
-        let mut line = format!("{name:<16}");
-        let mut csv = name.to_owned();
-        for (label, _) in &contenders {
-            let v = table[&(name.to_owned(), label.clone())];
-            line.push_str(&format!(" {:>8.2}", if pct { v * 100.0 } else { v }));
-            csv.push_str(&format!(",{v:.4}"));
-        }
-        println!("{line}");
-        csv
-    };
-    for w in &representative {
-        let csv = print_row(w.name, &serve, true);
-        rows.push(format!("serve,{csv}"));
-    }
-    // Geomean over the whole suite.
-    let geo = |table: &BTreeMap<(String, String), f64>| -> Vec<f64> {
-        contenders
-            .iter()
-            .map(|(label, _)| {
-                let vals: Vec<f64> = all
-                    .iter()
-                    .map(|w| table[&(w.name.to_owned(), label.clone())].max(1e-9))
-                    .collect();
-                geomean(&vals).unwrap_or(0.0)
-            })
-            .collect()
-    };
-    let g = geo(&serve);
-    println!(
-        "{:<16} {:>8.2} {:>8.2} {:>8.2}",
-        "geomean(all)",
-        g[0] * 100.0,
-        g[1] * 100.0,
-        g[2] * 100.0
-    );
-    rows.push(format!("serve,geomean,{:.4},{:.4},{:.4}", g[0], g[1], g[2]));
-
-    println!("\n--- bandwidth bloat factor (fast traffic / useful traffic) ---");
-    println!(
-        "{:<16} {:>8} {:>8} {:>8}",
-        "workload", "unison", "dice", "baryon"
-    );
-    for w in &representative {
-        let csv = print_row(w.name, &bloat, false);
-        rows.push(format!("bloat,{csv}"));
-    }
-    let g = geo(&bloat);
-    println!(
-        "{:<16} {:>8.2} {:>8.2} {:>8.2}",
-        "geomean(all)", g[0], g[1], g[2]
-    );
-    rows.push(format!("bloat,geomean,{:.4},{:.4},{:.4}", g[0], g[1], g[2]));
-
-    println!("\n--- memory read latency, cycles (p50 / p95 / p99) ---");
-    println!(
-        "{:<16} {:>20} {:>20} {:>20}",
-        "workload", "unison", "dice", "baryon"
-    );
-    for w in &representative {
-        let mut line = format!("{:<16}", w.name);
-        let mut csv = format!("latency,{}", w.name);
-        for (label, _) in &contenders {
-            let (p50, p95, p99) = latency[&(w.name.to_owned(), label.clone())];
-            line.push_str(&format!(" {:>20}", format!("{p50}/{p95}/{p99}")));
-            csv.push_str(&format!(",{p50}/{p95}/{p99}"));
-        }
-        println!("{line}");
-        rows.push(csv);
-    }
-
-    println!("\npaper shape: Baryon has the highest serve rates (e.g. pr.twi 77% vs");
-    println!("37%/44% for Unison/DICE) and the lowest bloat (pr.twi 1.8 vs 3.2/2.4).");
-
-    write_csv("fig11", "metric,workload,unison,dice,baryon", &rows);
+    baryon_bench::figures::fig11::FIGURE.main();
 }

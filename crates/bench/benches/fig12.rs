@@ -1,140 +1,6 @@
-//! Fig 12: impact of the compression-scheme choices on performance and
-//! compression factor, on the representative subset:
-//!
-//! * the zero-block (`Z` bit) optimization on/off,
-//! * cacheline-aligned compression on/off,
-//! * decompression latency 0/1/5/10 cycles,
-//! * the aligned same-CF range restriction: achieved CF vs an offline
-//!   per-chunk ideal (the metadata-free upper bound; see EXPERIMENTS.md).
-
-use baryon_bench::{banner, run_with_system, timed, write_csv, Params};
-use baryon_compress::best_compressed_size;
-use baryon_core::config::BaryonConfig;
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::geomean;
-
-/// A named configuration tweak.
-type Variant = (&'static str, Box<dyn Fn(&mut BaryonConfig)>);
+//! The `fig12` figure target; the figure itself is
+//! [`baryon_bench::figures::fig12`].
 
 fn main() {
-    let params = Params::from_env();
-    banner(
-        "Fig 12",
-        "compression-scheme ablations (performance and CF)",
-    );
-
-    let subset = params.representative();
-    let mut rows = Vec::new();
-
-    let variants: Vec<Variant> = vec![
-        ("default", Box::new(|_c: &mut BaryonConfig| {})),
-        ("no-zero-opt", Box::new(|c| c.zero_opt = false)),
-        (
-            "no-cacheline-aligned",
-            Box::new(|c| c.cacheline_aligned = false),
-        ),
-        ("decompress-0cyc", Box::new(|c| c.decompress_cycles = 0)),
-        ("decompress-1cyc", Box::new(|c| c.decompress_cycles = 1)),
-        ("decompress-10cyc", Box::new(|c| c.decompress_cycles = 10)),
-    ];
-
-    println!(
-        "\n{:<16} {:<22} {:>10} {:>8} {:>8}",
-        "workload", "variant", "cycles", "perf", "avg CF"
-    );
-    let mut per_variant: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
-    for w in &subset {
-        let mut base_cycles = 0u64;
-        for (label, tweak) in &variants {
-            let mut cfg = BaryonConfig::default_cache_mode(params.scale);
-            tweak(&mut cfg);
-            let (r, system) = timed(&format!("{} {label}", w.name), || {
-                run_with_system(&params, w, ControllerKind::Baryon(cfg.clone()), |_| {})
-            });
-            if *label == "default" {
-                base_cycles = r.total_cycles;
-            }
-            let perf = base_cycles as f64 / r.total_cycles as f64;
-            let cf = system
-                .controller()
-                .as_baryon()
-                .expect("baryon")
-                .counters()
-                .avg_cf();
-            println!(
-                "{:<16} {:<22} {:>10} {:>8.3} {:>8.2}",
-                w.name, label, r.total_cycles, perf, cf
-            );
-            per_variant.entry(label.to_string()).or_default().push(perf);
-            rows.push(format!(
-                "{},{label},{},{perf:.4},{cf:.3}",
-                w.name, r.total_cycles
-            ));
-        }
-        println!();
-    }
-
-    println!("--- geomean performance relative to default ---");
-    for (label, _) in &variants {
-        let g = geomean(&per_variant[*label]).unwrap_or(0.0);
-        println!("{label:<22} {g:.3}");
-        rows.push(format!("geomean,{label},,{g:.4},"));
-    }
-
-    // ---- aligned same-CF restriction: CF upper bound -------------------
-    // Offline scan: for each sampled 2 kB block, the ideal CF treats every
-    // 64 B chunk independently (size 64/32/16 -> factor 1/2/4), with no
-    // alignment or uniform-CF restriction; Baryon's achievable CF groups
-    // chunks into aligned ranges sharing one CF.
-    println!("\n--- CF restriction (offline content scan) ---");
-    println!("{:<16} {:>10} {:>10}", "workload", "baryon CF", "ideal CF");
-    for w in &subset {
-        let mem = w.contents(params.seed);
-        let mut ideal_slots = 0f64;
-        let mut restricted_slots = 0f64;
-        let blocks = 512u64;
-        for b in 0..blocks {
-            let addr = (b * 7919) % (w.footprint / 2048) * 2048;
-            for sub4 in 0..2u64 {
-                let window = mem.range(addr + sub4 * 1024, 1024);
-                // Ideal: each 64 B chunk compresses independently.
-                for chunk in window.chunks_exact(64) {
-                    let s = best_compressed_size(chunk);
-                    ideal_slots += if s <= 16 {
-                        0.25
-                    } else if s <= 32 {
-                        0.5
-                    } else {
-                        1.0
-                    };
-                }
-                // Restricted: Baryon's aligned uniform-CF ranges.
-                let rc = baryon_compress::RangeCompressor::cacheline_aligned();
-                if rc.fits(&window, baryon_compress::Cf::X4) {
-                    restricted_slots += 4.0; // 16 lines in 4 slots of 4 lines
-                } else {
-                    for half in window.chunks_exact(512) {
-                        if rc.fits(half, baryon_compress::Cf::X2) {
-                            restricted_slots += 4.0; // 8 lines in 4 x 0.5
-                        } else {
-                            restricted_slots += 8.0;
-                        }
-                    }
-                }
-            }
-        }
-        // Both costs are in 64 B line-slots; CF = raw lines / line-slots.
-        let lines = blocks as f64 * 32.0;
-        let ideal_cf = lines / ideal_slots.max(1.0);
-        let restricted_cf = lines / restricted_slots.max(1.0);
-        println!("{:<16} {:>10.2} {:>10.2}", w.name, restricted_cf, ideal_cf);
-        rows.push(format!(
-            "cf_restriction,{},{restricted_cf:.3},{ideal_cf:.3},",
-            w.name
-        ));
-    }
-    println!("(the gap is the CF lost to the aligned same-CF metadata format;");
-    println!(" the paper reports the resulting performance loss stays <= 12%)");
-
-    write_csv("fig12", "workload,variant,cycles,rel_perf,avg_cf", &rows);
+    baryon_bench::figures::fig12::FIGURE.main();
 }

@@ -1,130 +1,6 @@
-//! Fig 13: design-parameter exploration, all normalized to the default
-//! Baryon configuration on the representative subset:
-//!
-//! (a) two-level replacement vs sub-block-only replacement (paper: ~25%
-//!     degradation without block-level replacements),
-//! (b) super-block size in blocks (2/4/8/16/32; paper: 8 is sufficient,
-//!     very large sizes can hurt, e.g. mcf -50%),
-//! (c) stage-area size sweep including no-stage (paper: no stage loses
-//!     34.5% on average; larger stage helps up to ~64 MB),
-//! (d) selective-commit parameter k in {0, 1, 2, 4, inf} plus commit-all.
-
-use baryon_bench::{banner, run, timed, write_csv, Params};
-use baryon_core::config::BaryonConfig;
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::geomean;
-use std::collections::BTreeMap;
-
-type Tweak = Box<dyn Fn(&mut BaryonConfig)>;
+//! The `fig13` figure target; the figure itself is
+//! [`baryon_bench::figures::fig13`].
 
 fn main() {
-    let params = Params::from_env();
-    banner(
-        "Fig 13",
-        "design-parameter exploration (normalized to default)",
-    );
-
-    let subset = params.representative();
-    let default_stage = BaryonConfig::default_stage_bytes(params.scale);
-
-    let mut variants: Vec<(String, String, Tweak)> = vec![
-        ("a".into(), "default".into(), Box::new(|_| {})),
-        (
-            "a".into(),
-            "sub-block-only".into(),
-            Box::new(|c| c.two_level_replacement = false),
-        ),
-    ];
-    for bps in [2u64, 4, 8, 16, 32] {
-        variants.push((
-            "b".into(),
-            format!("superblock-{bps}"),
-            Box::new(move |c| c.geometry.blocks_per_super = bps),
-        ));
-    }
-    for frac in [0u64, 8, 4, 2, 1] {
-        let (label, bytes) = match default_stage.checked_div(frac) {
-            None => ("no-stage".to_owned(), 0),
-            Some(b) => (format!("stage-{}kB", b >> 10), b),
-        };
-        variants.push(("c".into(), label, Box::new(move |c| c.stage_bytes = bytes)));
-    }
-    for k in [0.0f64, 1.0, 2.0, 4.0] {
-        variants.push((
-            "d".into(),
-            format!("k={k}"),
-            Box::new(move |c| c.commit_k = k),
-        ));
-    }
-    variants.push((
-        "d".into(),
-        "k=inf".into(),
-        Box::new(|c| c.commit_k = f64::INFINITY),
-    ));
-    variants.push((
-        "d".into(),
-        "commit-all".into(),
-        Box::new(|c| c.commit_all = true),
-    ));
-
-    // Baseline cycles per workload (default config).
-    let mut base: BTreeMap<&str, u64> = BTreeMap::new();
-    for w in &subset {
-        let r = timed(&format!("{} default", w.name), || {
-            run(
-                &params,
-                w,
-                ControllerKind::Baryon(BaryonConfig::default_cache_mode(params.scale)),
-            )
-        });
-        base.insert(w.name, r.total_cycles);
-    }
-
-    let mut rows = Vec::new();
-    println!(
-        "\n{:<6} {:<18} {}",
-        "panel",
-        "variant",
-        subset
-            .iter()
-            .map(|w| format!("{:>10}", &w.name[..w.name.len().min(10)]))
-            .collect::<String>()
-            + "    geomean"
-    );
-    for (panel, label, tweak) in &variants {
-        let mut perfs = Vec::new();
-        let mut line = format!("{panel:<6} {label:<18}");
-        let mut csv = format!("{panel},{label}");
-        for w in &subset {
-            let mut cfg = BaryonConfig::default_cache_mode(params.scale);
-            tweak(&mut cfg);
-            let r = if *label == "default" {
-                None
-            } else {
-                Some(timed(&format!("{} {label}", w.name), || {
-                    run(&params, w, ControllerKind::Baryon(cfg.clone()))
-                }))
-            };
-            let cycles = r.map_or(base[w.name], |r| r.total_cycles);
-            let perf = base[w.name] as f64 / cycles as f64;
-            perfs.push(perf);
-            line.push_str(&format!(" {perf:>9.3}"));
-            csv.push_str(&format!(",{perf:.4}"));
-        }
-        let g = geomean(&perfs).unwrap_or(0.0);
-        line.push_str(&format!(" {g:>10.3}"));
-        csv.push_str(&format!(",{g:.4}"));
-        println!("{line}");
-        rows.push(csv);
-    }
-
-    println!("\npaper shape: (a) sub-block-only loses ~25%; (b) 8-block super-blocks");
-    println!("suffice and 32 can hurt; (c) no stage loses 34.5% avg; (d) k=1..4 are");
-    println!("similar and beat k=0, k=inf, and commit-all.");
-
-    let header = format!(
-        "panel,variant,{},geomean",
-        subset.iter().map(|w| w.name).collect::<Vec<_>>().join(",")
-    );
-    write_csv("fig13", &header, &rows);
+    baryon_bench::figures::fig13::FIGURE.main();
 }

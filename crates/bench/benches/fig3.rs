@@ -1,120 +1,6 @@
-//! Fig 3: access-type breakdown with the stage area.
-//!
-//! (a) Access classes (hit / sub-block miss / write overflow) for blocks in
-//!     their stage phase ("S") vs after commit ("C"), at the default stage
-//!     size. The paper shows misses and overflows dropping sharply after
-//!     commit (to <5% and <1% on average).
-//! (b) The same committed-phase breakdown for different stage-area sizes.
-//!
-//! Measurement note (see EXPERIMENTS.md): the paper samples windows around
-//! each stage/commit event of its 5-billion-instruction runs; at this
-//! scale the unbiased equivalent is the steady-state ratio conditioned on
-//! the block's phase — S = case-1 hits vs case-3 misses vs stage
-//! overflows, C = case-2 hits vs case-4 bypasses vs committed overflows.
-
-use baryon_bench::{banner, run_with_system, timed, write_csv, Params};
-use baryon_core::config::BaryonConfig;
-use baryon_core::controller::BaryonCounters;
-use baryon_core::system::ControllerKind;
-
-fn pct(n: u64, d: u64) -> f64 {
-    if d == 0 {
-        0.0
-    } else {
-        100.0 * n as f64 / d as f64
-    }
-}
-
-fn staged_breakdown(c: &BaryonCounters) -> (f64, f64, f64) {
-    let t = c.case1_stage_hits + c.case3_stage_misses + c.stage_overflows;
-    (
-        pct(c.case1_stage_hits, t),
-        pct(c.case3_stage_misses, t),
-        pct(c.stage_overflows, t),
-    )
-}
-
-fn committed_breakdown(c: &BaryonCounters) -> (f64, f64, f64) {
-    let t = c.case2_commit_hits + c.case4_bypasses + c.committed_overflows;
-    (
-        pct(c.case2_commit_hits, t),
-        pct(c.case4_bypasses, t),
-        pct(c.committed_overflows, t),
-    )
-}
+//! The `fig3` figure target; the figure itself is
+//! [`baryon_bench::figures::fig3`].
 
 fn main() {
-    let mut params = Params::from_env();
-    // Committed-phase statistics need committed blocks to be *re-used*: the
-    // streaming workloads only wrap their arrays after ~2-3x the default
-    // instruction budget, so this figure runs longer than the rest.
-    params.insts *= 3;
-    banner("Fig 3", "stage (S) vs committed (C) access breakdown");
-
-    // The SPEC subset, as in the paper.
-    let spec: Vec<_> = params
-        .workloads()
-        .into_iter()
-        .filter(|w| w.name.as_bytes()[0].is_ascii_digit())
-        .collect();
-
-    let mut rows = Vec::new();
-
-    // ---- (a) S vs C at the default stage size -------------------------
-    println!("\n--- (a) staged (S) vs committed (C) access breakdown, default stage ---");
-    println!(
-        "{:<16} {:>7} {:>7} {:>7}   {:>7} {:>7} {:>7}",
-        "workload", "S-hit%", "S-miss%", "S-ovf%", "C-hit%", "C-miss%", "C-ovf%"
-    );
-    for w in &spec {
-        let cfg = BaryonConfig::default_cache_mode(params.scale);
-        let (_, system) = timed(w.name, || {
-            run_with_system(&params, w, ControllerKind::Baryon(cfg.clone()), |_| {})
-        });
-        let c = *system.controller().as_baryon().expect("baryon").counters();
-        let (sh, sm, so) = staged_breakdown(&c);
-        let (ch, cm, co) = committed_breakdown(&c);
-        println!(
-            "{:<16} {sh:>7.1} {sm:>7.1} {so:>7.1}   {ch:>7.1} {cm:>7.1} {co:>7.1}",
-            w.name
-        );
-        rows.push(format!(
-            "a,{},default,{sh:.2},{sm:.2},{so:.2},{ch:.2},{cm:.2},{co:.2}",
-            w.name
-        ));
-    }
-
-    // ---- (b) C breakdown across stage sizes ----------------------------
-    // Paper sweeps 16/32/64/128 MB at 4 GB fast; we sweep the same
-    // fractions of the default (x0.25, x0.5, x1).
-    let default_stage = BaryonConfig::default_stage_bytes(params.scale);
-    println!("\n--- (b) committed-phase breakdown vs stage-area size ---");
-    println!(
-        "{:<16} {:>10} {:>7} {:>7} {:>7}",
-        "workload", "stage", "C-hit%", "C-miss%", "C-ovf%"
-    );
-    for w in &spec {
-        for factor in [4u64, 2, 1] {
-            let stage = default_stage / factor;
-            let mut cfg = BaryonConfig::default_cache_mode(params.scale);
-            cfg.stage_bytes = stage;
-            let label = format!("{}kB", stage >> 10);
-            let (_, system) = timed(&format!("{} {label}", w.name), || {
-                run_with_system(&params, w, ControllerKind::Baryon(cfg.clone()), |_| {})
-            });
-            let c = *system.controller().as_baryon().expect("baryon").counters();
-            let (ch, cm, co) = committed_breakdown(&c);
-            println!("{:<16} {label:>10} {ch:>7.1} {cm:>7.1} {co:>7.1}", w.name);
-            rows.push(format!("b,{},{label},,,,{ch:.2},{cm:.2},{co:.2}", w.name));
-        }
-    }
-
-    println!("\npaper shape: committed phases have far fewer misses/overflows than");
-    println!("stage phases, and larger stage areas further reduce them.");
-
-    write_csv(
-        "fig3",
-        "panel,workload,stage,s_hit,s_miss,s_ovf,c_hit,c_miss,c_ovf",
-        &rows,
-    );
+    baryon_bench::figures::fig3::FIGURE.main();
 }

@@ -1,114 +1,6 @@
-//! Fig 4: stage-area miss-ratio distribution across the (normalized)
-//! stage phase of sampled blocks.
-//!
-//! The paper samples 1k blocks, normalizes each block's stage phase to
-//! x in [0, 1], and shows box plots (25/75 quartiles, 5/95 whiskers) of the
-//! stage-area MPKI per time bucket: misses start high and drop by an order
-//! of magnitude before the phase midpoint.
-
-use baryon_bench::{banner, run_with_system, timed, write_csv, Params};
-use baryon_core::config::BaryonConfig;
-use baryon_core::controller::phase::PHASE_BUCKETS;
-use baryon_core::system::ControllerKind;
-use baryon_sim::summary::BoxSummary;
+//! The `fig4` figure target; the figure itself is
+//! [`baryon_bench::figures::fig4`].
 
 fn main() {
-    let params = Params::from_env();
-    banner(
-        "Fig 4",
-        "stage-phase miss-ratio distribution (normalized time)",
-    );
-
-    // Mixed sample across the suite, as the paper aggregates workloads.
-    let sample: Vec<_> = params.representative();
-    let mut all_buckets: [Vec<f64>; PHASE_BUCKETS] = Default::default();
-    let mut committed = 0usize;
-    let mut evicted = 0usize;
-
-    for w in &sample {
-        let cfg = BaryonConfig::default_cache_mode(params.scale);
-        let (_, system) = timed(w.name, || {
-            run_with_system(&params, w, ControllerKind::Baryon(cfg.clone()), |sys| {
-                sys.controller_mut()
-                    .as_baryon_mut()
-                    .expect("baryon")
-                    .enable_phase_tracking(64, 1_000);
-            })
-        });
-        let tracker = system
-            .controller()
-            .as_baryon()
-            .expect("baryon")
-            .phase_tracker();
-        let ratios = tracker.bucket_miss_ratios();
-        for (acc, r) in all_buckets.iter_mut().zip(ratios) {
-            acc.extend(r);
-        }
-        for p in tracker.phases() {
-            if p.committed {
-                committed += 1;
-            } else {
-                evicted += 1;
-            }
-        }
-    }
-
-    println!(
-        "\nsampled {} stage phases ({} committed, {} evicted)",
-        committed + evicted,
-        committed,
-        evicted
-    );
-    println!(
-        "\n{:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "x", "p5", "p25", "p50", "p75", "p95", "n"
-    );
-    let mut rows = Vec::new();
-    let mut early = 0.0;
-    let mut late = 0.0;
-    for (i, bucket) in all_buckets.iter().enumerate() {
-        let x = (i as f64 + 0.5) / PHASE_BUCKETS as f64;
-        match BoxSummary::from_values(bucket) {
-            Some(b) => {
-                println!(
-                    "{x:>6.2} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>7}",
-                    b.p5,
-                    b.p25,
-                    b.p50,
-                    b.p75,
-                    b.p95,
-                    bucket.len()
-                );
-                rows.push(format!(
-                    "{x:.2},{:.5},{:.5},{:.5},{:.5},{:.5},{}",
-                    b.p5,
-                    b.p25,
-                    b.p50,
-                    b.p75,
-                    b.p95,
-                    bucket.len()
-                ));
-                if i == 0 {
-                    early = b.p50.max(1e-4);
-                }
-                if i == PHASE_BUCKETS - 1 {
-                    late = b.p50.max(1e-4);
-                }
-            }
-            None => println!("{x:>6.2} (no samples)"),
-        }
-    }
-
-    println!(
-        "\nmedian miss ratio drops {:.1}x from the first to the last bucket",
-        early / late
-    );
-    println!("\nphases ending in commit: {committed}; ending in eviction: {evicted}");
-    println!("(the paper's selective-commit policy exists exactly because the");
-    println!(" evicted minority keeps missing through its whole phase — the");
-    println!(" p95 whisker above)");
-    println!("\npaper shape: an order-of-magnitude drop, stabilizing past x = 0.5,");
-    println!("with a high 95% tail (the unstable blocks motivating selective commit).");
-
-    write_csv("fig4", "x,p5,p25,p50,p75,p95,samples", &rows);
+    baryon_bench::figures::fig4::main();
 }

@@ -1,82 +1,6 @@
-//! Fig 9: cache-mode performance of Simple / Unison Cache / DICE /
-//! Baryon-64B / Baryon across the workload suite, normalized to Simple.
-//!
-//! The paper reports Baryon at 1.38x (up to 2.46x) over Unison Cache and
-//! 1.27x (up to 1.68x) over DICE on geomean.
-
-use baryon_bench::{banner, fig9_contenders, run_grid, timed, write_csv, Params};
-use baryon_sim::summary::geomean;
-use std::collections::BTreeMap;
+//! The `fig9` figure target; the figure itself is
+//! [`baryon_bench::figures::fig9`].
 
 fn main() {
-    let params = Params::from_env();
-    banner("Fig 9", "cache-mode speedups normalized to Simple");
-
-    let contenders = fig9_contenders(params.scale);
-    let mut per_ctrl: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut rows = Vec::new();
-
-    println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>10} {:>8}",
-        "workload", "simple", "unison", "dice", "baryon-64b", "baryon"
-    );
-    // Build the whole grid and run it across worker threads.
-    let workloads = params.workloads();
-    let jobs: Vec<_> = workloads
-        .iter()
-        .flat_map(|w| contenders.iter().map(move |(_, k)| (*w, k.clone())))
-        .collect();
-    let results = timed("full fig9 grid", || run_grid(&params, jobs));
-    for (wi, w) in workloads.iter().enumerate() {
-        let mut cycles = Vec::new();
-        for (ci, (label, _)) in contenders.iter().enumerate() {
-            let r = &results[wi * contenders.len() + ci];
-            cycles.push((label.clone(), r.total_cycles));
-        }
-        let base = cycles[0].1 as f64;
-        let mut line = format!("{:<16}", w.name);
-        let mut csv = w.name.to_owned();
-        for (label, c) in &cycles {
-            let speedup = base / *c as f64;
-            per_ctrl.entry(label.clone()).or_default().push(speedup);
-            line.push_str(&format!(" {speedup:>8.3}"));
-            csv.push_str(&format!(",{speedup:.4}"));
-        }
-        println!("{line}");
-        rows.push(csv);
-    }
-
-    let mut geo_line = format!("{:<16}", "geomean");
-    let mut geo_csv = String::from("geomean");
-    for (label, _) in &contenders {
-        let g = geomean(&per_ctrl[label]).unwrap_or(0.0);
-        geo_line.push_str(&format!(" {g:>8.3}"));
-        geo_csv.push_str(&format!(",{g:.4}"));
-    }
-    println!("{}", "-".repeat(64));
-    println!("{geo_line}");
-    rows.push(geo_csv);
-
-    let b = geomean(&per_ctrl["baryon"]).unwrap_or(0.0);
-    let u = geomean(&per_ctrl["unison"]).unwrap_or(1.0);
-    let d = geomean(&per_ctrl["dice"]).unwrap_or(1.0);
-    let b64 = geomean(&per_ctrl["baryon-64b"]).unwrap_or(1.0);
-    println!(
-        "\nBaryon vs Unison Cache : {:.2}x (paper: 1.38x avg, 2.46x max)",
-        b / u
-    );
-    println!(
-        "Baryon vs DICE         : {:.2}x (paper: 1.27x avg, 1.68x max)",
-        b / d
-    );
-    println!(
-        "Baryon vs Baryon-64B   : {:.2}x (paper: +12.2% from the 256 B granularity)",
-        b / b64
-    );
-
-    write_csv(
-        "fig9",
-        "workload,simple,unison,dice,baryon_64b,baryon",
-        &rows,
-    );
+    baryon_bench::figures::fig9::FIGURE.main();
 }

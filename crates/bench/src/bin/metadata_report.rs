@@ -55,6 +55,7 @@ fn spec(workload: &str, controller: &str, insts: u64) -> RunSpec {
         mlp: 1,
         telemetry: true,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

@@ -2,9 +2,13 @@
 
 //! Benchmark harness regenerating the paper's tables and figures.
 //!
-//! Every `cargo bench` target under `benches/` corresponds to one table or
-//! figure of the evaluation section (see DESIGN.md §3 for the index). Each
-//! target prints the same rows/series the paper reports and writes a
+//! Every run goes through [`spec::RunSpec`]. A paper figure is a module of
+//! [`figures`]: its `spec` lists the runs the figure needs, each a
+//! workload × controller × sparse [`baryon_core::Knobs`] overlay, and its
+//! `reduce` turns the finished results into the figure's table and CSV
+//! rows. [`spec::execute_all`] runs every list in process. Each `cargo
+//! bench` target under `benches/` prints one table or figure of the
+//! evaluation section (see DESIGN.md §3 for the index) and writes a
 //! machine-readable copy to `baryon-results/<id>.csv`.
 //!
 //! Knobs (environment variables):
@@ -12,14 +16,15 @@
 //! * `BARYON_BENCH_INSTS` — measured instructions per core (default 150000),
 //! * `BARYON_BENCH_WARMUP` — warm-up instructions per core (default 50000),
 //! * `BARYON_BENCH_SCALE` — capacity divisor vs the paper (default 256),
+//! * `BARYON_BENCH_SEED` — seed shared by all runs (default 42),
 //! * `BARYON_BENCH_QUICK` — if set, runs a reduced workload set.
 
+pub mod figures;
 pub mod spec;
 
-use baryon_core::config::BaryonConfig;
-use baryon_core::metrics::RunResult;
-use baryon_core::system::{ControllerKind, System, SystemConfig};
+use baryon_core::Knobs;
 use baryon_workloads::{registry, Scale, Workload};
+use spec::RunSpec;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -89,133 +94,21 @@ impl Params {
             })
             .collect()
     }
-}
 
-/// Runs one (workload, controller) pair and returns the measured result.
-///
-/// With `BARYON_BENCH_SEEDS > 1` the run repeats over consecutive seeds and
-/// the cycle counts / serve statistics are averaged, trading wall-clock for
-/// lower seed sensitivity.
-pub fn run(params: &Params, workload: &Workload, kind: ControllerKind) -> RunResult {
-    let seeds = std::env::var("BARYON_BENCH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1)
-        .max(1);
-    let mut results: Vec<RunResult> = (0..seeds)
-        .map(|k| {
-            let mut cfg = SystemConfig::with_controller(params.scale, kind.clone());
-            cfg.warmup_insts = params.warmup;
-            let mut system = System::new(cfg, workload, params.seed + k);
-            system.run(params.insts)
-        })
-        .collect();
-    if results.len() == 1 {
-        return results.pop().expect("one result");
-    }
-    average_runs(results)
-}
-
-/// Averages cycle counts and serve statistics over same-length runs.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn average_runs(results: Vec<RunResult>) -> RunResult {
-    assert!(!results.is_empty(), "cannot average zero runs");
-    let n = results.len() as u64;
-    let mut acc = results[0].clone();
-    acc.total_cycles = results.iter().map(|r| r.total_cycles).sum::<u64>() / n;
-    acc.instructions = results.iter().map(|r| r.instructions).sum::<u64>() / n;
-    acc.llc_misses = results.iter().map(|r| r.llc_misses).sum::<u64>() / n;
-    acc.serve.reads = results.iter().map(|r| r.serve.reads).sum::<u64>() / n;
-    acc.serve.fast_served = results.iter().map(|r| r.serve.fast_served).sum::<u64>() / n;
-    acc.serve.writebacks = results.iter().map(|r| r.serve.writebacks).sum::<u64>() / n;
-    acc.serve.useful_bytes = results.iter().map(|r| r.serve.useful_bytes).sum::<u64>() / n;
-    acc.serve.fast_bytes = results.iter().map(|r| r.serve.fast_bytes).sum::<u64>() / n;
-    acc.serve.slow_bytes = results.iter().map(|r| r.serve.slow_bytes).sum::<u64>() / n;
-    acc.serve.energy_pj = results.iter().map(|r| r.serve.energy_pj).sum::<f64>() / n as f64;
-    for r in &results[1..] {
-        acc.read_latency.merge(&r.read_latency);
-    }
-    acc
-}
-
-/// Runs with access to the system after the run (for Baryon-specific
-/// instrumentation like the phase tracker).
-pub fn run_with_system(
-    params: &Params,
-    workload: &Workload,
-    kind: ControllerKind,
-    prepare: impl FnOnce(&mut System),
-) -> (RunResult, System) {
-    let mut cfg = SystemConfig::with_controller(params.scale, kind);
-    cfg.warmup_insts = params.warmup;
-    let mut system = System::new(cfg, workload, params.seed);
-    prepare(&mut system);
-    let result = system.run(params.insts);
-    (result, system)
-}
-
-/// Runs a grid of (workload, controller) jobs in parallel worker threads,
-/// returning results in job order. The thread count follows
-/// `BARYON_BENCH_THREADS` (default: available parallelism, capped at the
-/// job count). Every run stays deterministic — parallelism only reorders
-/// wall-clock execution, never the per-run streams.
-pub fn run_grid(params: &Params, jobs: Vec<(Workload, ControllerKind)>) -> Vec<RunResult> {
-    let threads = std::env::var("BARYON_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, jobs.len().max(1));
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(|(w, k)| run(params, &w, k)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, RunResult)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let jobs = &jobs;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (w, k) = &jobs[i];
-                let result = run(params, w, k.clone());
-                tx.send((i, result)).expect("collector alive");
-            });
+    /// One figure cell: `workload` under `controller` with `knobs`, at
+    /// these parameters.
+    pub fn cell(&self, workload: &str, controller: &str, knobs: Knobs) -> RunSpec {
+        RunSpec {
+            workload: workload.to_owned(),
+            controller: controller.to_owned(),
+            insts: self.insts,
+            warmup: self.warmup,
+            scale: self.scale.divisor,
+            seed: self.seed,
+            knobs,
+            ..RunSpec::default()
         }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<RunResult>> = (0..jobs.len()).map(|_| None).collect();
-    for (i, result) in rx {
-        slots[i] = Some(result);
     }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every job filled"))
-        .collect()
-}
-
-/// The standard cache-mode contenders of Fig 9, in plot order.
-pub fn fig9_contenders(scale: Scale) -> Vec<(String, ControllerKind)> {
-    let baryon = BaryonConfig::default_cache_mode(scale);
-    let mut baryon64 = baryon.clone();
-    baryon64.geometry = baryon_core::Geometry::baryon_64b();
-    vec![
-        ("simple".into(), ControllerKind::Simple),
-        ("unison".into(), ControllerKind::Unison),
-        ("dice".into(), ControllerKind::Dice),
-        ("baryon-64b".into(), ControllerKind::Baryon(baryon64)),
-        ("baryon".into(), ControllerKind::Baryon(baryon)),
-    ]
 }
 
 /// Where CSV outputs go: `baryon-results/` at the workspace root (bench
@@ -234,16 +127,21 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes a CSV file into the results directory.
-pub fn write_csv(id: &str, header: &str, rows: &[String]) {
+/// The CSV text of `rows` under `header`, one line each.
+pub fn csv_text(header: &str, rows: &[String]) -> String {
     let mut body = String::from(header);
     body.push('\n');
     for r in rows {
         body.push_str(r);
         body.push('\n');
     }
+    body
+}
+
+/// Writes a CSV file into the results directory.
+pub fn write_csv(id: &str, header: &str, rows: &[String]) {
     let path = results_dir().join(format!("{id}.csv"));
-    fs::write(&path, body).expect("write csv");
+    fs::write(&path, csv_text(header, rows)).expect("write csv");
     println!("\n[{} rows written to {}]", rows.len(), path.display());
 }
 
@@ -274,15 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn contenders_cover_fig9() {
-        let names: Vec<String> = fig9_contenders(Scale::default())
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(names, ["simple", "unison", "dice", "baryon-64b", "baryon"]);
-    }
-
-    #[test]
     fn representative_subset_nonempty() {
         let p = Params {
             insts: 1,
@@ -308,40 +197,24 @@ mod tests {
     }
 
     #[test]
-    fn average_runs_means_counters() {
+    fn cells_carry_the_params() {
         let p = Params {
-            insts: 2_000,
-            warmup: 0,
+            insts: 7,
+            warmup: 3,
             scale: Scale { divisor: 2048 },
-            quick: true,
-            seed: 1,
+            quick: false,
+            seed: 9,
         };
-        let w = baryon_workloads::by_name("505.mcf_r", p.scale).expect("workload");
-        let a = run(&p, &w, ControllerKind::Simple);
-        let b = {
-            let mut p2 = p;
-            p2.seed = 2;
-            run(&p2, &w, ControllerKind::Simple)
+        let knobs = Knobs {
+            zero_opt: Some(false),
+            ..Knobs::default()
         };
-        let avg = average_runs(vec![a.clone(), b.clone()]);
-        assert_eq!(avg.total_cycles, (a.total_cycles + b.total_cycles) / 2);
+        let cell = p.cell("ycsb-a", "baryon", knobs);
         assert_eq!(
-            avg.read_latency.count(),
-            a.read_latency.count() + b.read_latency.count()
+            (cell.insts, cell.warmup, cell.scale, cell.seed),
+            (7, 3, 2048, 9)
         );
-    }
-
-    #[test]
-    fn smoke_run() {
-        let p = Params {
-            insts: 3_000,
-            warmup: 1_000,
-            scale: Scale { divisor: 2048 },
-            quick: true,
-            seed: 1,
-        };
-        let w = baryon_workloads::by_name("505.mcf_r", p.scale).expect("workload");
-        let r = run(&p, &w, ControllerKind::Simple);
-        assert!(r.total_cycles > 0);
+        assert_eq!(cell.knobs, knobs);
+        cell.validate().expect("a figure cell is a valid spec");
     }
 }

@@ -5,18 +5,22 @@
 //! round-trip through [`baryon_sim::json`], which is how jobs travel over
 //! the wire to `baryon-serve` and how `baryon-cli run` describes the run
 //! it is about to execute. Keeping the execution path here — one function,
-//! used by the CLI and by every server worker — is what makes a job
-//! submitted remotely byte-identical to the same run performed locally.
+//! used by the CLI, every server worker and every paper figure — is what
+//! makes a job submitted remotely byte-identical to the same run performed
+//! locally. [`execute_all`] is the one in-process runner for a list of
+//! specs.
 
 use baryon_core::checkpoint::{Checkpoint, RestoreError};
 use baryon_core::family::FamilyId;
 use baryon_core::metrics::RunResult;
-use baryon_core::policy::FleetPolicy;
+use baryon_core::policy::{FleetPolicy, Knobs};
 use baryon_core::system::{ControllerKind, RunProgress, System, SystemConfig};
 use baryon_sim::json::{parse, Json};
 use baryon_sim::wire::{Reader, Writer};
 use baryon_workloads::{by_name, Scale};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// File-name prefix used by [`RunSpec::execute_with_checkpoints`] for its
 /// rotating checkpoint files (`ckpt-<ops>.ckpt`).
@@ -34,27 +38,53 @@ pub fn controller_kind(name: &str, scale: Scale) -> Option<ControllerKind> {
     Some(FamilyId::parse(name).ok()?.kind(scale))
 }
 
-/// Overlays a fleet policy's controller overrides onto a resolved
-/// [`ControllerKind`]. Baseline controllers (non-Baryon) carry no tunable
-/// knobs and pass through unchanged.
-fn apply_policy(kind: ControllerKind, policy: Option<&FleetPolicy>) -> ControllerKind {
-    match (kind, policy) {
-        (ControllerKind::Baryon(cfg), Some(p)) => ControllerKind::Baryon(p.apply(cfg)),
-        (kind, _) => kind,
-    }
-}
-
 /// Stamps the policy's config generation into a finished result.
 fn stamp_generation(mut result: RunResult, policy: Option<&FleetPolicy>) -> RunResult {
     result.config_generation = policy.map_or(0, |p| p.generation);
     result
 }
 
+/// Runs every spec to completion on scoped worker threads (one per
+/// available core, at most one per spec) and returns the results in input
+/// order. Each run is deterministic, so the thread count only changes
+/// wall-clock time, never a result.
+///
+/// # Errors
+///
+/// The first invalid spec's [`RunSpec::validate`] error, before anything
+/// runs; otherwise the first failed run's error, in input order.
+pub fn execute_all(specs: &[RunSpec]) -> Result<Vec<RunResult>, String> {
+    for spec in specs {
+        spec.validate()?;
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<RunResult, String>>>> =
+        specs.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(specs.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                *slots[i].lock().expect("slot lock") = Some(spec.execute());
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every spec ran")
+        })
+        .collect()
+}
+
 /// One fully-specified simulation run.
 ///
 /// Defaults match `baryon-cli run` exactly, so a spec built from a sparse
 /// JSON document runs the same experiment the CLI would.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Workload name (see `baryon-cli list`).
     pub workload: String,
@@ -77,6 +107,11 @@ pub struct RunSpec {
     /// Host threads used to refill per-core trace shards. Purely a
     /// throughput knob: any value produces bit-identical results.
     pub threads: u64,
+    /// Controller knobs overlaid on the family's default design point at
+    /// the run's scale (Baryon families only). They take precedence over
+    /// a fleet policy's knobs, so a spec names the same design point under
+    /// any policy generation.
+    pub knobs: Knobs,
 }
 
 impl Default for RunSpec {
@@ -91,6 +126,7 @@ impl Default for RunSpec {
             mlp: 1,
             telemetry: false,
             threads: 1,
+            knobs: Knobs::default(),
         }
     }
 }
@@ -139,51 +175,70 @@ fn field_str_list(key: &str, value: &Json) -> Result<Vec<String>, String> {
 impl RunSpec {
     /// Builds a spec from a JSON object, starting from [`Default`] and
     /// overriding any of `workload`, `controller`, `insts`, `warmup`,
-    /// `scale`, `seed`, `mlp`, `telemetry`, `threads`.
+    /// `scale`, `seed`, `mlp`, `telemetry`, `threads`, `knobs`.
     ///
     /// # Errors
     ///
     /// Rejects non-objects, unknown fields (typos should fail loudly, not
-    /// silently run the default experiment), and ill-typed values.
+    /// silently run the default experiment), ill-typed values, and knobs
+    /// that are invalid for the controller at the spec's scale.
     pub fn from_json(doc: &Json) -> Result<RunSpec, String> {
         let Json::Obj(pairs) = doc else {
             return Err(format!("run spec must be an object, got {}", doc.render()));
         };
         let mut spec = RunSpec::default();
         for (key, value) in pairs {
-            match key.as_str() {
-                "workload" => spec.workload = field_str(key, value)?,
-                "controller" => spec.controller = field_str(key, value)?,
-                "insts" => spec.insts = field_u64(key, value)?,
-                "warmup" => spec.warmup = field_u64(key, value)?,
-                "scale" => spec.scale = field_u64(key, value)?,
-                "seed" => spec.seed = field_u64(key, value)?,
-                "mlp" => spec.mlp = field_u64(key, value)?,
-                "telemetry" => spec.telemetry = field_bool(key, value)?,
-                "threads" => spec.threads = field_u64(key, value)?,
-                other => return Err(format!("unknown run spec field `{other}`")),
+            if !spec.set_field(key, value)? {
+                return Err(format!("unknown run spec field `{key}`"));
             }
         }
         spec.validate()?;
         Ok(spec)
     }
 
-    /// The spec as a JSON object (every field, in declaration order).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("workload", Json::from(self.workload.as_str())),
-            ("controller", Json::from(self.controller.as_str())),
-            ("insts", Json::from(self.insts)),
-            ("warmup", Json::from(self.warmup)),
-            ("scale", Json::from(self.scale)),
-            ("seed", Json::from(self.seed)),
-            ("mlp", Json::from(self.mlp)),
-            ("telemetry", Json::Bool(self.telemetry)),
-            ("threads", Json::from(self.threads)),
-        ])
+    /// Sets the field `key` from `value` — the one field list shared by
+    /// run and grid documents. Returns `Ok(false)` for an unknown key.
+    fn set_field(&mut self, key: &str, value: &Json) -> Result<bool, String> {
+        match key {
+            "workload" => self.workload = field_str(key, value)?,
+            "controller" => self.controller = field_str(key, value)?,
+            "insts" => self.insts = field_u64(key, value)?,
+            "warmup" => self.warmup = field_u64(key, value)?,
+            "scale" => self.scale = field_u64(key, value)?,
+            "seed" => self.seed = field_u64(key, value)?,
+            "mlp" => self.mlp = field_u64(key, value)?,
+            "telemetry" => self.telemetry = field_bool(key, value)?,
+            "threads" => self.threads = field_u64(key, value)?,
+            "knobs" => {
+                self.knobs = Knobs::from_json(value).map_err(|e| format!("field `knobs`: {e}"))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    /// Checks names and numeric ranges without running anything.
+    /// The spec as a JSON object: every field in declaration order, with
+    /// `knobs` left out when it is empty.
+    pub fn to_json(&self) -> Json {
+        let knobs = (!self.knobs.is_empty()).then(|| ("knobs", self.knobs.to_json()));
+        Json::obj(
+            [
+                ("workload", Json::from(self.workload.as_str())),
+                ("controller", Json::from(self.controller.as_str())),
+                ("insts", Json::from(self.insts)),
+                ("warmup", Json::from(self.warmup)),
+                ("scale", Json::from(self.scale)),
+                ("seed", Json::from(self.seed)),
+                ("mlp", Json::from(self.mlp)),
+                ("telemetry", Json::Bool(self.telemetry)),
+                ("threads", Json::from(self.threads)),
+            ]
+            .into_iter()
+            .chain(knobs),
+        )
+    }
+
+    /// Checks names, numeric ranges and knobs without running anything.
     ///
     /// # Errors
     ///
@@ -210,7 +265,34 @@ impl RunSpec {
         if self.threads == 0 {
             return Err("`threads` must be at least 1".to_owned());
         }
-        Ok(())
+        self.controller_at(None).map(drop)
+    }
+
+    /// The controller this spec runs: the family default at the spec's
+    /// scale, then the spec's knobs, then the policy's knobs for the
+    /// fields the spec leaves unset, validated at that scale. Knobs in a
+    /// spec for a non-Baryon controller are an error; a policy's knobs
+    /// pass non-Baryon runs through unchanged.
+    fn controller_at(&self, policy: Option<&FleetPolicy>) -> Result<ControllerKind, String> {
+        let scale = Scale {
+            divisor: self.scale,
+        };
+        match controller_kind(&self.controller, scale).expect("validated name") {
+            ControllerKind::Baryon(cfg) => {
+                let knobs = policy.map_or(self.knobs, |p| self.knobs.or(&p.knobs));
+                knobs.resolve(cfg).map(ControllerKind::Baryon).map_err(|e| {
+                    format!(
+                        "knobs for `{}` at scale {}: {e}",
+                        self.controller, self.scale
+                    )
+                })
+            }
+            _ if !self.knobs.is_empty() => Err(format!(
+                "`knobs` apply only to Baryon-family controllers, not `{}`",
+                self.controller
+            )),
+            kind => Ok(kind),
+        }
     }
 
     /// Runs the spec to completion. The construction mirrors
@@ -225,14 +307,14 @@ impl RunSpec {
         self.execute_with(None)
     }
 
-    /// [`RunSpec::execute`] under a fleet policy: controller overrides are
-    /// overlaid onto the run's design point and the policy's config
+    /// [`RunSpec::execute`] under a fleet policy: the policy's knobs fill
+    /// the fields the spec's knobs leave unset, and the policy's config
     /// generation is stamped into the result. `None` is the baseline and
     /// bit-identical to [`RunSpec::execute`].
     ///
     /// # Errors
     ///
-    /// Returns the [`RunSpec::validate`] error for bad names or ranges.
+    /// Returns the [`RunSpec::build_system_with`] error.
     pub fn execute_with(&self, policy: Option<&FleetPolicy>) -> Result<RunResult, String> {
         let mut system = self.build_system_with(policy)?;
         Ok(stamp_generation(system.run(self.insts), policy))
@@ -249,22 +331,20 @@ impl RunSpec {
         self.build_system_with(None)
     }
 
-    /// [`RunSpec::build_system`] with a fleet policy overlaid onto the
-    /// resolved controller configuration.
+    /// [`RunSpec::build_system`] with a fleet policy's knobs filling the
+    /// fields the spec's knobs leave unset.
     ///
     /// # Errors
     ///
-    /// Returns the [`RunSpec::validate`] error for bad names or ranges.
+    /// Returns the [`RunSpec::validate`] error for bad names or ranges,
+    /// or the configuration error of knobs invalid at the spec's scale.
     pub fn build_system_with(&self, policy: Option<&FleetPolicy>) -> Result<System, String> {
         self.validate()?;
         let scale = Scale {
             divisor: self.scale,
         };
         let workload = by_name(&self.workload, scale).expect("validated");
-        let kind = apply_policy(
-            controller_kind(&self.controller, scale).expect("validated"),
-            policy,
-        );
+        let kind = self.controller_at(policy)?;
         let mut cfg = SystemConfig::with_controller(scale, kind);
         cfg.warmup_insts = self.warmup;
         cfg.mlp = self.mlp as usize;
@@ -409,9 +489,8 @@ pub fn resume_from_with(
     Ok((spec, stamp_generation(system.finish(), policy)))
 }
 
-/// A cross product of workloads × controllers sharing one set of knobs —
-/// the shape of every figure sweep in the paper's evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A cross product of workloads × controllers sharing one set of knobs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     /// Workload names (the grid's rows).
     pub workloads: Vec<String>,
@@ -423,7 +502,8 @@ pub struct GridSpec {
 
 impl GridSpec {
     /// Builds a grid from a JSON object with `workloads` and `controllers`
-    /// string arrays plus any [`RunSpec`] knob overrides.
+    /// string arrays plus any [`RunSpec`] field other than `workload` and
+    /// `controller`.
     ///
     /// # Errors
     ///
@@ -439,14 +519,14 @@ impl GridSpec {
             match key.as_str() {
                 "workloads" => workloads = field_str_list(key, value)?,
                 "controllers" => controllers = field_str_list(key, value)?,
-                "insts" => base.insts = field_u64(key, value)?,
-                "warmup" => base.warmup = field_u64(key, value)?,
-                "scale" => base.scale = field_u64(key, value)?,
-                "seed" => base.seed = field_u64(key, value)?,
-                "mlp" => base.mlp = field_u64(key, value)?,
-                "telemetry" => base.telemetry = field_bool(key, value)?,
-                "threads" => base.threads = field_u64(key, value)?,
-                other => return Err(format!("unknown grid spec field `{other}`")),
+                "workload" | "controller" => {
+                    return Err(format!("unknown grid spec field `{key}`"));
+                }
+                _ => {
+                    if !base.set_field(key, value)? {
+                        return Err(format!("unknown grid spec field `{key}`"));
+                    }
+                }
             }
         }
         if workloads.is_empty() {
@@ -484,7 +564,7 @@ impl GridSpec {
 
 /// A job body as accepted by `baryon-serve`: either one run or a grid
 /// (an object whose single distinguishing key is `grid`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// One simulation.
     Run(RunSpec),
@@ -514,35 +594,31 @@ impl JobSpec {
     pub fn to_json(&self) -> Json {
         match self {
             JobSpec::Run(spec) => spec.to_json(),
-            JobSpec::Grid(grid) => Json::obj([(
-                "grid",
-                Json::obj([
+            JobSpec::Grid(grid) => {
+                let mut pairs = vec![
                     (
-                        "workloads",
+                        "workloads".to_owned(),
                         Json::arr(grid.workloads.iter().map(|w| Json::from(w.as_str()))),
                     ),
                     (
-                        "controllers",
+                        "controllers".to_owned(),
                         Json::arr(grid.controllers.iter().map(|c| Json::from(c.as_str()))),
                     ),
-                    ("insts", Json::from(grid.base.insts)),
-                    ("warmup", Json::from(grid.base.warmup)),
-                    ("scale", Json::from(grid.base.scale)),
-                    ("seed", Json::from(grid.base.seed)),
-                    ("mlp", Json::from(grid.base.mlp)),
-                    ("telemetry", Json::Bool(grid.base.telemetry)),
-                    ("threads", Json::from(grid.base.threads)),
-                ]),
-            )]),
+                ];
+                if let Json::Obj(base) = grid.base.to_json() {
+                    pairs.extend(
+                        base.into_iter()
+                            .filter(|(k, _)| k != "workload" && k != "controller"),
+                    );
+                }
+                Json::obj([("grid", Json::Obj(pairs))])
+            }
         }
     }
 
     /// Number of individual simulations this job performs.
     pub fn runs(&self) -> usize {
-        match self {
-            JobSpec::Run(_) => 1,
-            JobSpec::Grid(grid) => grid.workloads.len() * grid.controllers.len(),
-        }
+        self.cells().len()
     }
 
     /// The job's individual runs, row-major: one for a run, the grid's
@@ -589,7 +665,7 @@ impl JobSpec {
         })
     }
 
-    /// Executes the job's cells in row-major order and gathers their
+    /// Executes the job's cells through [`execute_all`] and gathers their
     /// documents ([`JobSpec::gather`]).
     ///
     /// # Errors
@@ -597,12 +673,8 @@ impl JobSpec {
     /// Returns the first cell's error message; cells are validated up
     /// front so partial grids are not silently dropped.
     pub fn execute(&self) -> Result<Json, String> {
-        let docs = self
-            .cells()
-            .iter()
-            .map(|cell| cell.execute().map(|r| Some(r.to_json())))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.gather(docs)
+        let results = execute_all(&self.cells())?;
+        self.gather(results.iter().map(|r| Some(r.to_json())).collect())
     }
 }
 
@@ -632,9 +704,79 @@ mod tests {
             mlp: 2,
             telemetry: true,
             threads: 4,
+            knobs: Knobs::default(),
         };
         let back = RunSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(back, spec);
+        let with_knobs = RunSpec {
+            controller: "baryon".into(),
+            knobs: Knobs {
+                commit_k: Some(f64::INFINITY),
+                blocks_per_super: Some(16),
+                ..Knobs::default()
+            },
+            ..spec
+        };
+        let text = with_knobs.to_json().render();
+        assert!(
+            text.ends_with(r#""threads":4,"knobs":{"commit_k":"inf","blocks_per_super":16}}"#),
+            "{text}"
+        );
+        let back = RunSpec::from_json(&parse(&text).expect("json")).expect("roundtrip");
+        assert_eq!(back, with_knobs);
+    }
+
+    /// Spec documents without knobs render exactly as before knobs
+    /// existed: checkpoints, journals and fleet posts embed these bytes.
+    #[test]
+    fn knob_free_documents_render_byte_identically() {
+        for doc in [
+            r#"{"workload":"ycsb-a","controller":"dice","insts":1000,"warmup":10,"scale":1024,"seed":7,"mlp":2,"telemetry":true,"threads":4}"#,
+            r#"{"grid":{"workloads":["ycsb-a","pr.twi"],"controllers":["simple","baryon"],"insts":2000,"warmup":500,"scale":2048,"seed":42,"mlp":1,"telemetry":false,"threads":1}}"#,
+        ] {
+            let job = JobSpec::from_json(&parse(doc).expect("json")).expect("valid job");
+            assert_eq!(job.to_json().render(), doc);
+        }
+        let grid = parse(
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["baryon","baryon-fa"],"scale":2048,"knobs":{"zero_opt":false}}}"#,
+        )
+        .expect("json");
+        let job = JobSpec::from_json(&grid).expect("grid with knobs");
+        assert_eq!(job.runs(), 2);
+        assert!(job.cells().iter().all(|c| c.knobs.zero_opt == Some(false)));
+        assert!(job
+            .to_json()
+            .render()
+            .ends_with(r#""threads":1,"knobs":{"zero_opt":false}}}"#));
+    }
+
+    #[test]
+    fn knobs_are_validated_against_controller_and_scale() {
+        for bad in [
+            // Knobs only tune Baryon-family controllers.
+            r#"{"controller":"dice","knobs":{"zero_opt":false}}"#,
+            // Unknown and ill-typed knobs.
+            r#"{"knobs":{"zero_optt":false}}"#,
+            r#"{"knobs":{"commit_k":"lots"}}"#,
+            r#"{"knobs":[1]}"#,
+            // Invalid at the spec's own scale: 1024 stage ways need more
+            // stage blocks than scale 4096 provides.
+            r#"{"scale":4096,"knobs":{"stage_ways":1024}}"#,
+            r#"{"controller":"baryon-fa","knobs":{"assoc":4}}"#,
+            // Sizes that would ask the allocator for terabytes.
+            r#"{"workload":"ycsb-a","knobs":{"stage_bytes":0,"stage_ways":1099511627776}}"#,
+            r#"{"knobs":{"stage_bytes":18446744073709551615}}"#,
+            r#"{"knobs":{"blocks_per_super":1099511627776}}"#,
+        ] {
+            let doc = parse(bad).expect("valid json");
+            assert!(RunSpec::from_json(&doc).is_err(), "accepted {bad}");
+        }
+        let grid = parse(
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["baryon","simple"],"knobs":{"zero_opt":false}}}"#,
+        )
+        .expect("json");
+        let err = JobSpec::from_json(&grid).expect_err("simple takes no knobs");
+        assert!(err.contains("simple"), "{err}");
     }
 
     #[test]
@@ -680,9 +822,7 @@ mod tests {
             warmup: 1_000,
             scale: 1024,
             seed: 9,
-            mlp: 1,
-            telemetry: false,
-            threads: 1,
+            ..RunSpec::default()
         };
         let via_spec = spec.execute().expect("runs");
 
@@ -753,9 +893,7 @@ mod tests {
             warmup: 2_000,
             scale: 1024,
             seed: 11,
-            mlp: 1,
-            telemetry: false,
-            threads: 1,
+            ..RunSpec::default()
         }
     }
 
@@ -822,7 +960,10 @@ mod tests {
         // A real override perturbs the run and stamps its generation.
         let policy = FleetPolicy {
             generation: 5,
-            commit_all: Some(true),
+            knobs: Knobs {
+                commit_all: Some(true),
+                ..Knobs::default()
+            },
             ..FleetPolicy::default()
         };
         let under_policy = spec.execute_with(Some(&policy)).expect("policy run");
@@ -845,7 +986,10 @@ mod tests {
         let spec = small_spec();
         let policy = FleetPolicy {
             generation: 2,
-            zero_opt: Some(false),
+            knobs: Knobs {
+                zero_opt: Some(false),
+                ..Knobs::default()
+            },
             ..FleetPolicy::default()
         };
         let golden = spec.execute_with(Some(&policy)).expect("golden");
@@ -865,6 +1009,64 @@ mod tests {
             "policy-aware resume diverged"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A spec's knobs win over the policy's, so a figure cell names the
+    /// same design point under any fleet generation.
+    #[test]
+    fn spec_knobs_take_precedence_over_policy_knobs() {
+        let spec = RunSpec {
+            knobs: Knobs {
+                commit_k: Some(0.0),
+                ..Knobs::default()
+            },
+            ..small_spec()
+        };
+        let policy = FleetPolicy {
+            generation: 4,
+            knobs: Knobs {
+                commit_k: Some(2.0),
+                ..Knobs::default()
+            },
+            ..FleetPolicy::default()
+        };
+        let mut under_policy = spec.execute_with(Some(&policy)).expect("policy run");
+        assert_eq!(under_policy.config_generation, 4);
+        under_policy.config_generation = 0;
+        let plain = spec.execute().expect("plain run");
+        assert_eq!(under_policy.to_json().render(), plain.to_json().render());
+        // The policy still fills what the spec leaves unset.
+        let unset = small_spec().execute_with(Some(&policy)).expect("run");
+        assert_ne!(unset.total_cycles, plain.total_cycles);
+    }
+
+    /// A policy that passes stage-time validation can still be invalid at
+    /// a run's own scale; the run must fail with an error, not a panic.
+    #[test]
+    fn policy_invalid_at_run_scale_is_an_error() {
+        let policy = FleetPolicy {
+            knobs: Knobs {
+                stage_ways: Some(1024),
+                ..Knobs::default()
+            },
+            ..FleetPolicy::default()
+        };
+        policy.validate().expect("valid at the validation scale");
+        let spec = RunSpec {
+            scale: 4096,
+            ..small_spec()
+        };
+        let err = spec.execute_with(Some(&policy)).expect_err("invalid here");
+        assert!(err.contains("stage area smaller than one set"), "{err}");
+        assert!(err.contains("4096"), "{err}");
+        // Non-Baryon controllers pass a policy's knobs through unchanged.
+        let simple = RunSpec {
+            controller: "simple".into(),
+            ..spec
+        };
+        simple
+            .execute_with(Some(&policy))
+            .expect("simple ignores knobs");
     }
 
     #[test]

@@ -22,6 +22,7 @@ fn spec_for(controller: &str, seed: u64) -> RunSpec {
         mlp: 1,
         telemetry: false,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

@@ -50,6 +50,7 @@ fn spec(workload: &str, controller: &str, telemetry: bool) -> RunSpec {
         mlp: 1,
         telemetry,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

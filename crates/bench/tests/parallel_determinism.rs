@@ -27,6 +27,7 @@ fn spec(workload: &str, controller: &str, threads: u64, telemetry: bool) -> RunS
         mlp: 1,
         telemetry,
         threads,
+        ..RunSpec::default()
     }
 }
 

@@ -181,6 +181,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         mlp: args.num("mlp", 1),
         telemetry: args.bool_flag("telemetry", false),
         threads: args.num("threads", 1).max(1),
+        ..RunSpec::default()
     };
     let every = args.num("checkpoint-every", 0);
     let run = if every > 0 {

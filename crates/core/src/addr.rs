@@ -74,9 +74,10 @@ impl Geometry {
         if self.sub_bytes > self.block_bytes {
             return Err("sub-blocks cannot exceed the block size".to_owned());
         }
-        if !self.blocks_per_super.is_power_of_two() || self.blocks_per_super == 0 {
+        if !self.blocks_per_super.is_power_of_two() || self.blocks_per_super > 256 {
             return Err(format!(
-                "blocks_per_super {} must be a positive power of two",
+                "blocks_per_super {} must be a power of two <= 256 \
+                 (a range's block offset is 8 bits)",
                 self.blocks_per_super
             ));
         }
@@ -190,6 +191,8 @@ mod tests {
         assert!(g.validate().is_err());
         let mut g = Geometry::baryon_default();
         g.blocks_per_super = 3;
+        assert!(g.validate().is_err());
+        g.blocks_per_super = 512;
         assert!(g.validate().is_err());
     }
 

@@ -58,6 +58,9 @@ pub enum ConfigError {
     StageSmallerThanSet,
     /// `stage_ways` is zero.
     ZeroStageWays,
+    /// `stage_ways` exceeds the fast memory's blocks. A disabled stage
+    /// (`stage_bytes` 0) still allocates one set of that many ways.
+    StageWaysExceedFast,
     /// `assoc` is zero.
     ZeroAssoc,
     /// Stage area plus metadata consume the whole fast memory.
@@ -95,6 +98,9 @@ impl fmt::Display for ConfigError {
             ConfigError::MisalignedCapacity => f.write_str("capacities must be block-aligned"),
             ConfigError::StageSmallerThanSet => f.write_str("stage area smaller than one set"),
             ConfigError::ZeroStageWays => f.write_str("stage_ways must be non-zero"),
+            ConfigError::StageWaysExceedFast => {
+                f.write_str("stage_ways exceeds the fast memory's blocks")
+            }
             ConfigError::ZeroAssoc => f.write_str("assoc must be non-zero"),
             ConfigError::NoDataArea => {
                 f.write_str("metadata and stage area leave no fast memory for data")
@@ -359,7 +365,7 @@ impl BaryonConfig {
 
     /// Fast-memory bytes left for the cache/flat data area.
     pub fn data_area_bytes(&self) -> u64 {
-        let meta = self.stage_bytes + self.remap_reserved_bytes();
+        let meta = self.stage_bytes.saturating_add(self.remap_reserved_bytes());
         self.fast_bytes.saturating_sub(meta) / self.geometry.block_bytes * self.geometry.block_bytes
     }
 
@@ -441,6 +447,9 @@ impl BaryonConfig {
         }
         if self.stage_ways == 0 {
             return Err(ConfigError::ZeroStageWays);
+        }
+        if self.stage_ways as u64 > self.fast_bytes / self.geometry.block_bytes {
+            return Err(ConfigError::StageWaysExceedFast);
         }
         if self.assoc == 0 {
             return Err(ConfigError::ZeroAssoc);
@@ -759,6 +768,23 @@ mod tests {
         let err = c.validate().expect_err("invalid");
         assert_eq!(err, ConfigError::ZeroStageWays);
         assert!(err.to_string().contains("stage_ways"));
+    }
+
+    #[test]
+    fn stage_knobs_cannot_outgrow_fast_memory() {
+        // A disabled stage keeps its default ways; it still allocates one
+        // set of them, so an absurd width is refused.
+        let mut c = BaryonConfig::default_cache_mode(scale());
+        c.stage_bytes = 0;
+        c.validate().expect("no-stage design point is valid");
+        c.stage_ways = 1 << 40;
+        assert_eq!(c.validate(), Err(ConfigError::StageWaysExceedFast));
+        // A stage near u64::MAX must not wrap the metadata sum.
+        let mut c = BaryonConfig::default_cache_mode(scale());
+        c.stage_bytes = u64::MAX - 4095;
+        assert_eq!(c.validate(), Err(ConfigError::NoDataArea));
+        c.stage_bytes = c.fast_bytes;
+        assert_eq!(c.validate(), Err(ConfigError::NoDataArea));
     }
 
     #[test]

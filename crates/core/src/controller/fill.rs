@@ -945,7 +945,9 @@ impl BaryonController {
                     }
                 }
             }
-            let full_mask = (1u32 << self.geom.subs_per_block()) - 1;
+            // 32 sub-blocks (Baryon-64B) fill the whole mask; `1 << 32`
+            // would overflow.
+            let full_mask = u32::MAX >> (u32::BITS as usize - self.geom.subs_per_block());
             if re.remap == full_mask {
                 self.counters.dbg_commit_full += 1;
             } else {

@@ -53,4 +53,4 @@ pub use config::{BaryonConfig, HybridMode, RemapKind};
 pub use ctrl::{MemoryController, Request, Response};
 pub use family::FamilyId;
 pub use metrics::RunResult;
-pub use policy::FleetPolicy;
+pub use policy::{FleetPolicy, Knobs};

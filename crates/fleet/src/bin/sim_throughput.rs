@@ -76,6 +76,7 @@ fn spec(workload: &str, telemetry: bool) -> RunSpec {
         mlp: 1,
         telemetry,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

@@ -30,7 +30,7 @@
 //!   policy.
 
 use baryon_core::config::ConfigError;
-use baryon_core::policy::FleetPolicy;
+use baryon_core::policy::{FleetPolicy, Knobs};
 use baryon_sim::json::Json;
 use baryon_sim::wire::{Reader, WireError, Writer};
 
@@ -476,7 +476,9 @@ impl SlotMachine {
         w.u64(self.rollbacks);
     }
 
-    /// Deserializes a machine written by [`SlotMachine::save_state`].
+    /// Deserializes a machine written by [`SlotMachine::save_state`]. A
+    /// policy persisted as fixed fields, before policies were stored as
+    /// their JSON documents, is migrated (see [`load_policy`]).
     ///
     /// # Errors
     ///
@@ -488,7 +490,7 @@ impl SlotMachine {
             let state = SlotState::from_tag(r.u8()?)?;
             let generation = r.u64()?;
             let policy = if r.opt()? {
-                Some(FleetPolicy::load_state(r)?)
+                Some(load_policy(r)?)
             } else {
                 None
             };
@@ -529,13 +531,53 @@ impl SlotMachine {
     }
 }
 
+/// A slot's policy: its JSON document or, in a slots file written before
+/// that layout, 11 fixed fields (the generation, the 9 knobs of the time
+/// and the two serving limits). Decoding both keeps an upgraded
+/// coordinator's committed config and generation counter.
+fn load_policy(r: &mut Reader<'_>) -> Result<FleetPolicy, WireError> {
+    fn opt<'a, T>(
+        r: &mut Reader<'a>,
+        read: fn(&mut Reader<'a>) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
+        Ok(if r.opt()? { Some(read(r)?) } else { None })
+    }
+    let start = r.clone();
+    if let Ok(policy) = FleetPolicy::load_state(r) {
+        return Ok(policy);
+    }
+    *r = start;
+    let generation = r.u64()?;
+    let knobs = Knobs {
+        commit_k: opt(r, Reader::f64)?,
+        commit_all: opt(r, Reader::bool)?,
+        cacheline_aligned: opt(r, Reader::bool)?,
+        zero_opt: opt(r, Reader::bool)?,
+        use_cpack: opt(r, Reader::bool)?,
+        compressed_writeback: opt(r, Reader::bool)?,
+        two_level_replacement: opt(r, Reader::bool)?,
+        scrub_interval: opt(r, Reader::u64)?,
+        stage_ways: opt(r, Reader::u64)?.map(|v| v as usize),
+        ..Knobs::default()
+    };
+    Ok(FleetPolicy {
+        generation,
+        knobs,
+        job_deadline_ms: opt(r, Reader::u64)?,
+        checkpoint_every: opt(r, Reader::u64)?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn benign() -> FleetPolicy {
         FleetPolicy {
-            scrub_interval: Some(100_000),
+            knobs: Knobs {
+                scrub_interval: Some(100_000),
+                ..Knobs::default()
+            },
             ..FleetPolicy::default()
         }
     }
@@ -581,7 +623,10 @@ mod tests {
         assert_eq!(m.begin_commit(), Err(CommitError::NothingStaged));
         assert_eq!(m.begin_rollback(), Err(RollbackError::NoPrevious));
         let bad = FleetPolicy {
-            commit_k: Some(-1.0),
+            knobs: Knobs {
+                commit_k: Some(-1.0),
+                ..Knobs::default()
+            },
             ..FleetPolicy::default()
         };
         assert!(matches!(m.stage(bad), Err(StageError::Invalid(_))));
@@ -633,8 +678,11 @@ mod tests {
     fn staged_slot_gets_a_policy_diff_against_active() {
         let mut m = SlotMachine::new();
         m.stage(FleetPolicy {
-            scrub_interval: Some(100_000),
-            commit_k: Some(2.5),
+            knobs: Knobs {
+                scrub_interval: Some(100_000),
+                commit_k: Some(2.5),
+                ..Knobs::default()
+            },
             ..FleetPolicy::default()
         })
         .expect("stages");
@@ -670,5 +718,62 @@ mod tests {
         let mut expect = m.clone();
         expect.in_flight = None;
         assert_eq!(back, expect);
+    }
+
+    /// A slots file written while policies were fixed fields: an active
+    /// generation-2 policy (`commit_k` 2.5, `stage_ways` 8, a deadline)
+    /// over a previous baseline, next generation 3, one rollback.
+    #[test]
+    fn fixed_field_slots_file_migrates() {
+        let mut w = Writer::new();
+        w.u8(SlotState::Active.tag());
+        w.u64(2);
+        w.opt(true);
+        w.u64(2);
+        w.opt(true);
+        w.f64(2.5);
+        for _ in 0..6 {
+            w.opt(false); // the six boolean knobs
+        }
+        w.opt(false); // scrub_interval
+        w.opt(true);
+        w.u64(8); // stage_ways
+        w.opt(true);
+        w.u64(5000); // job_deadline_ms
+        w.opt(false); // checkpoint_every
+        w.u8(SlotState::Previous.tag());
+        w.u64(0);
+        w.opt(false);
+        w.u64(3);
+        w.opt(false);
+        w.u64(1);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let m = SlotMachine::load_state(&mut r).expect("migrates");
+        r.finish().expect("fully consumed");
+        let policy = FleetPolicy {
+            generation: 2,
+            knobs: Knobs {
+                commit_k: Some(2.5),
+                stage_ways: Some(8),
+                ..Knobs::default()
+            },
+            job_deadline_ms: Some(5000),
+            checkpoint_every: None,
+        };
+        assert_eq!(
+            m.active(),
+            (
+                Slot::A,
+                &SlotInfo {
+                    state: SlotState::Active,
+                    generation: 2,
+                    policy: Some(policy),
+                }
+            )
+        );
+        assert_eq!(m.slot(Slot::B).state, SlotState::Previous);
+        assert_eq!(m.next_generation, 3);
+        assert_eq!(m.rollbacks(), 1);
     }
 }

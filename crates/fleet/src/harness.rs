@@ -395,7 +395,7 @@ mod tests {
         let cfg = parse_shard_config(&[format!("--policy={}", path.display())]).expect("loads");
         let policy = cfg.policy.expect("policy set");
         assert_eq!(policy.generation, 7);
-        assert_eq!(policy.scrub_interval, Some(100_000));
+        assert_eq!(policy.knobs.scrub_interval, Some(100_000));
         // An invalid policy file is a parse error, not a panic.
         std::fs::write(&path, r#"{"commit_k":-1}"#).expect("write");
         let err = parse_shard_config(&[format!("--policy={}", path.display())])

@@ -33,9 +33,9 @@ fn gen_op(g: &mut Gen) -> Op {
 fn valid_policy(g: &mut Gen) -> FleetPolicy {
     let mut policy = FleetPolicy::default();
     match g.choice(4) {
-        0 => policy.scrub_interval = Some(g.range(1_000, 1_000_000)),
-        1 => policy.commit_all = Some(g.bool()),
-        2 => policy.zero_opt = Some(g.bool()),
+        0 => policy.knobs.scrub_interval = Some(g.range(1_000, 1_000_000)),
+        1 => policy.knobs.commit_all = Some(g.bool()),
+        2 => policy.knobs.zero_opt = Some(g.bool()),
         _ => policy.checkpoint_every = Some(g.range(1_000, 100_000)),
     }
     policy
@@ -45,9 +45,9 @@ fn valid_policy(g: &mut Gen) -> FleetPolicy {
 fn invalid_policy(g: &mut Gen) -> FleetPolicy {
     let mut policy = FleetPolicy::default();
     if g.bool() {
-        policy.commit_k = Some(-1.0);
+        policy.knobs.commit_k = Some(-1.0);
     } else {
-        policy.stage_ways = Some(0);
+        policy.knobs.stage_ways = Some(0);
     }
     policy
 }

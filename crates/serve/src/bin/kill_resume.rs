@@ -54,6 +54,7 @@ fn gate_spec() -> RunSpec {
         mlp: 1,
         telemetry: false,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

@@ -108,6 +108,7 @@ fn served_result_is_byte_identical_to_direct_run() {
         mlp: 1,
         telemetry: false,
         threads: 1,
+        ..RunSpec::default()
     };
     let direct = spec.execute().expect("spec runs").to_json().render();
     assert_eq!(
@@ -260,6 +261,31 @@ fn protocol_errors_are_typed() {
     let r = submit(addr, r#"{"workload":"not-a-workload"}"#);
     assert_eq!(r.status, 400);
     assert!(r.body.contains("unknown workload"), "{}", r.body);
+
+    // Knobs invalid at the spec's own scale → 400, not a worker panic.
+    let r = submit(addr, r#"{"scale":4096,"knobs":{"stage_ways":1024}}"#);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(
+        r.body.contains("stage area smaller than one set"),
+        "{}",
+        r.body
+    );
+
+    // Sizes that would abort the shard on allocation → 400 before any run.
+    for (body, reason) in [
+        (
+            r#"{"workload":"ycsb-a","knobs":{"stage_bytes":0,"stage_ways":1099511627776}}"#,
+            "stage_ways exceeds the fast memory's blocks",
+        ),
+        (
+            r#"{"workload":"ycsb-a","knobs":{"stage_bytes":18446744073709551615}}"#,
+            "leave no fast memory for data",
+        ),
+    ] {
+        let r = submit(addr, body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains(reason), "{}", r.body);
+    }
 
     // Unknown endpoint → 404; wrong method → 405.
     let r = client::request(addr, "GET", "/v1/nope", None).expect("reachable");

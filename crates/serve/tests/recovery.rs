@@ -72,6 +72,7 @@ fn quick_spec() -> RunSpec {
         mlp: 1,
         telemetry: false,
         threads: 1,
+        ..RunSpec::default()
     }
 }
 

@@ -48,6 +48,8 @@ pub enum WireError {
     BadTag(u8),
     /// Bytes were left over after the last expected field.
     TrailingBytes(usize),
+    /// A string field holding a JSON document did not parse or validate.
+    BadDocument(String),
 }
 
 impl fmt::Display for WireError {
@@ -64,6 +66,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => f.write_str("string field is not valid UTF-8"),
             WireError::BadTag(t) => write!(f, "unknown discriminant {t:#04x}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after last field"),
+            WireError::BadDocument(e) => write!(f, "embedded document: {e}"),
         }
     }
 }
@@ -169,7 +172,7 @@ impl Writer {
 }
 
 /// A cursor decoding the wire byte stream produced by [`Writer`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -54,6 +54,12 @@ cargo test -q -p baryon-bench --release --offline --test parallel_determinism
 echo "==> differential golden gate (10 controllers x 17 workloads)"
 cargo test -q -p baryon-bench --release --offline --test differential_golden
 
+# Figure oracle: every paper figure, run as its list of run specs through
+# the one in-process runner and reduced to rows, must reproduce the CSV
+# blessed in crates/bench/tests/fixtures/figures/.
+echo "==> figure golden gate (every figure's CSV at small settings)"
+cargo test -q -p baryon-bench --release --offline --test figure_goldens
+
 # Fleet gate: one binary, three scenarios, each on a fresh coordinator
 # over 3 real shard processes (the binary re-invoked as its own shards).
 # No cell has a home shard: each runs on whichever shard's worker pulls it.
