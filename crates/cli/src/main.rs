@@ -48,7 +48,8 @@
 //! quarantine, shard quarantine, failover, reply validation) is expected
 //! to absorb them; `fleet_gate chaos` in CI holds it to that. The fleet
 //! supervisor's crash-loop budget is `BARYON_FLEET_QUARANTINE_AFTER`
-//! rapid respawns (default 8, `0` disables quarantine).
+//! respawns in a row, each within 10 s of the end of the previous one's
+//! backoff (default 8, `0` disables quarantine).
 
 use baryon_bench::spec::{resume_from, RunSpec};
 use baryon_core::checkpoint::atomic_write;

@@ -1,13 +1,14 @@
 //! The fleet coordinator: one front-door HTTP server over N shards.
 //!
-//! The coordinator owns no simulation code. It admits jobs (per-client
-//! quotas, two-level QoS queue) as lists of cells ([`crate::router`]) and
-//! runs one dispatch slot per shard worker: a slot pulls the next cell
-//! while its shard is in rotation, POSTs it there, and follows the
-//! shard-local job to its end ([`follow`]), so a cell runs on whichever
-//! shard has a free worker. The coordinator gathers results
-//! deterministically, proxies event streams, and merges every shard's
-//! full-fidelity wire metrics into one fleet-wide registry under
+//! The coordinator owns no simulation code and makes no dispatch
+//! decision: those are [`FleetCore`]'s, kept under one `Mutex` with one
+//! `Condvar` that every core update notifies. This module is the shell
+//! around it: HTTP routes, one dispatch slot thread per shard worker, the
+//! supervisor, and the rollout engine. A slot waits until the core hands
+//! its shard a cell, POSTs it there, and follows the shard-local job to
+//! its end ([`follow`]), so a cell runs on whichever shard has a free
+//! worker. The coordinator proxies event streams and merges every
+//! shard's full-fidelity wire metrics into one fleet-wide registry under
 //! `shard<i>.` namespaces.
 //!
 //! Supervision is the shard set's ([`crate::shard::ShardSet`]): a killed
@@ -18,8 +19,7 @@
 //! shard's slots hand their cells back to the queue and pull no more.
 
 use crate::config::{CommitError, RollbackError, Slot, SlotMachine, StageError};
-use crate::quota::{Class, ClientQuotas, QosQueue, QueueError};
-use crate::router::{CellState, FleetJob, JobBoard};
+use crate::fleet_core::{CellState, Class, FleetCore, FleetJob, Publish, Refusal, Work, WorkItem};
 use crate::shard::{ShardLauncher, ShardSet};
 use baryon_bench::spec::JobSpec;
 use baryon_compress::crc::crc32;
@@ -28,7 +28,7 @@ use baryon_core::policy::FleetPolicy;
 use baryon_serve::client::{Client, ClientError, ClientResponse};
 use baryon_serve::error::ErrorCode;
 use baryon_serve::http::{read_request, ChunkedWriter, Request, Response, CRC_HEADER};
-use baryon_serve::job::{CancelOutcome, JobState};
+use baryon_serve::job::CancelOutcome;
 use baryon_serve::progress::{end_stream, events_target, send_event, EventCursor, ProgressBoard};
 use baryon_sim::json::{self, Json};
 use baryon_sim::telemetry::Registry;
@@ -37,8 +37,7 @@ use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Coordinator construction knobs (the CLI's `fleet` flags).
@@ -77,28 +76,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Fleet-level counters, merged into the `/v1/metrics` registry under
-/// `fleet.*` alongside each shard's absorbed `shard<i>.serve.*` metrics.
-#[derive(Default)]
-struct FleetMetrics {
-    submitted: AtomicU64,
-    rejected_quota: AtomicU64,
-    rejected_queue: AtomicU64,
-    done: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    redispatched: AtomicU64,
-    /// Cells re-dispatched off a shard that exhausted its crash-loop
-    /// budget and was quarantined.
-    failover: AtomicU64,
-    /// Shard replies that flunked their CRC frame (a lying shard) and
-    /// were discarded instead of trusted.
-    reply_errors: AtomicU64,
-    /// Results computed under a config generation whose roll failed —
-    /// withheld from gathers and re-dispatched under the restored config.
-    quarantined_results: AtomicU64,
-}
-
 /// A shard reply the coordinator refused to act on.
 #[derive(Debug)]
 pub enum ShardError {
@@ -128,23 +105,17 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One unit of dispatch: one cell of a fleet job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkItem {
-    fleet_id: u64,
-    cell: usize,
-}
-
 /// State shared by the accept loop, handlers, dispatch slots, and the
 /// supervisor.
 struct FleetShared {
-    board: JobBoard,
-    queue: QosQueue<(Class, WorkItem)>,
-    quotas: ClientQuotas,
+    /// Every dispatch decision ([`FleetCore`]).
+    core: Mutex<FleetCore>,
+    /// Notified after every core update: slots wait on it for a cell, a
+    /// rolling restart for its shard to drain, the supervisor for
+    /// shutdown.
+    changed: Condvar,
     shards: ShardSet,
     progress: ProgressBoard,
-    metrics: FleetMetrics,
-    shutdown: AtomicBool,
     addr: SocketAddr,
     /// The A/B config slot machine (persisted under `config_dir`).
     config: Mutex<SlotMachine>,
@@ -154,11 +125,6 @@ struct FleetShared {
     /// Serializes rollouts: commit/rollback hold this for the whole
     /// rolling restart so at most one engine runs.
     rollout: Mutex<()>,
-    /// The config generation a commit is currently rolling toward (0 =
-    /// no roll in flight). While nonzero, slots stage finished results
-    /// instead of settling them — a gather must never mix cells
-    /// computed under a generation that may yet be rolled back.
-    rolling_to: AtomicU64,
 }
 
 impl FleetShared {
@@ -171,54 +137,63 @@ impl FleetShared {
         config_dir: PathBuf,
     ) -> FleetShared {
         FleetShared {
-            board: JobBoard::new(),
-            queue: QosQueue::new(cfg.queue_cap),
-            quotas: ClientQuotas::new(cfg.max_in_flight_per_client),
+            core: Mutex::new(FleetCore::new(
+                shards.len(),
+                cfg.queue_cap,
+                cfg.max_in_flight_per_client,
+            )),
+            changed: Condvar::new(),
             shards,
             progress: ProgressBoard::new(),
-            metrics: FleetMetrics::default(),
-            shutdown: AtomicBool::new(false),
             addr,
             config: Mutex::new(config),
             config_dir,
             rollout: Mutex::new(()),
-            rolling_to: AtomicU64::new(0),
         }
     }
 
-    /// Applies a board update; when it settles the job, releases the
-    /// client's quota slot, bumps completion counters, and nudges event
-    /// streams via the progress board.
-    fn apply_update(&self, id: u64, apply: impl FnOnce(&mut FleetJob)) {
-        let Some((client, _class)) = self.board.update(id, apply) else {
-            return;
-        };
-        self.settle_bookkeeping(id, &client);
+    /// The core, for reads.
+    fn core(&self) -> MutexGuard<'_, FleetCore> {
+        self.core.lock().expect("fleet core lock poisoned")
     }
 
-    /// The post-settle tail shared by [`FleetShared::apply_update`] and
-    /// staged-result resolution: release the quota slot, bump the
-    /// completion counter, and wake event streams.
-    fn settle_bookkeeping(&self, id: u64, client: &str) {
-        self.quotas.release(client);
-        match self.board.state(id) {
-            Some(JobState::Done) => {
-                self.metrics.done.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // Wake any stream parked on wait_past so it notices the settle
-        // promptly.
-        if let Some(job) = self.board.get(id) {
-            let (done, total) = (job.cells_done(), job.cells_total());
-            self.progress.publish(id, |jp| {
-                jp.phase = "done";
-                jp.cells_done = done;
-                jp.cells_total = total;
-                jp.ops = done.max(jp.ops);
+    /// Runs one core update and wakes every waiter.
+    fn update<R>(&self, apply: impl FnOnce(&mut FleetCore) -> R) -> R {
+        let out = apply(&mut self.core());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Publishes what a core update owes the progress board. It runs after
+    /// the core lock is released: the job's end is then visible to a
+    /// stream's `ended` check before the publish that wakes it.
+    fn publish(&self, updates: impl IntoIterator<Item = Publish>) {
+        for update in updates {
+            self.progress.publish(update.job, |jp| {
+                jp.phase = if update.settled { "done" } else { "measure" };
+                // Slots land concurrently: a stale count never goes back.
+                jp.cells_done = update.cells_done.max(jp.cells_done);
+                jp.cells_total = update.cells_total;
+                jp.ops = update.cells_done.max(jp.ops);
             });
+            if let Some(evicted) = update.evicted {
+                self.progress.remove(evicted);
+            }
+        }
+    }
+
+    /// Blocks until the core hands shard `shard` a cell; `None` once the
+    /// fleet closes.
+    fn next_cell(&self, shard: usize) -> Option<Work> {
+        let mut core = self.core();
+        loop {
+            if core.is_closed() {
+                return None;
+            }
+            if let Some(work) = core.next_cell(shard) {
+                return Some(work);
+            }
+            core = self.changed.wait(core).expect("fleet core lock poisoned");
         }
     }
 
@@ -236,7 +211,7 @@ impl FleetShared {
         if claimed == format!("{actual:08x}") {
             return Ok(response);
         }
-        self.metrics.reply_errors.fetch_add(1, Ordering::Relaxed);
+        self.core().reply_error();
         Err(ShardError::Corrupt { claimed, actual })
     }
 }
@@ -267,29 +242,29 @@ impl FleetController {
     /// Pauses dispatch and supervision for a shard (test hook — the
     /// rollout engine pauses shards itself during commit/rollback).
     pub fn pause_shard(&self, index: usize) {
-        self.shared.shards.pause(index);
+        self.shared.update(|core| core.pause(index));
     }
 
     /// Resumes a paused shard.
     pub fn unpause_shard(&self, index: usize) {
-        self.shared.shards.unpause(index);
+        self.shared.update(|core| core.unpause(index));
     }
 
     /// How many shards are currently quarantined (crash-loop budget
     /// exhausted, out of rotation).
     pub fn quarantined_shards(&self) -> u64 {
-        self.shared.shards.quarantined_count()
+        self.shared.core().quarantined_count()
     }
 
     /// Whether shard `index` is quarantined.
     pub fn shard_is_quarantined(&self, index: usize) -> bool {
-        self.shared.shards.is_quarantined(index)
+        self.shared.core().is_quarantined(index)
     }
 
     /// The shard a job's cell is dispatched to, read from the board;
     /// `None` while the cell waits in the queue or once it has landed.
     pub fn dispatched_shard(&self, id: u64, cell: usize) -> Option<usize> {
-        match self.shared.board.get(id)?.cells.get(cell)?.state {
+        match self.shared.core().job(id)?.cells.get(cell)?.state {
             CellState::Dispatched { shard, .. } => Some(shard),
             _ => None,
         }
@@ -307,9 +282,9 @@ pub struct Fleet {
 
 /// Supervisor cadence: how often shards are probed and the dead restarted.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(500);
-/// How long an idle slot (its shard paused or quarantined) sleeps between
-/// checks, and how long [`follow`] waits before asking a shard again.
-const IDLE_STEP: Duration = Duration::from_millis(50);
+/// How long [`follow`] waits before asking an unreachable or garbling
+/// shard again.
+const FOLLOW_RETRY: Duration = Duration::from_millis(50);
 /// [`follow`]'s read timeout: longer than serve's 10 s `alive` heartbeat,
 /// so a live event stream never times out.
 const FOLLOW_READ: Duration = Duration::from_secs(30);
@@ -392,7 +367,7 @@ impl Fleet {
     /// Currently infallible after a successful bind.
     pub fn run(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shared.core().is_closed() {
                 break;
             }
             let Ok(stream) = stream else {
@@ -410,69 +385,22 @@ impl Fleet {
     }
 }
 
-/// One dispatch slot, a worker of shard `shard`: while the shard is in
-/// rotation it pulls the next cell, POSTs it there, and follows it to its
-/// end before pulling again, so a shard never holds more cells than it has
-/// workers. Exits once the queue closes.
-fn slot_loop(shared: &Arc<FleetShared>, shard: usize) {
-    loop {
-        if !shared.shards.in_rotation(shard) {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
+/// One dispatch slot, a worker of shard `shard`: it waits for the core to
+/// hand its shard a cell, POSTs the cell there, and follows it to its end
+/// before pulling again, so a shard never holds more cells than it has
+/// workers. Exits once the fleet closes.
+fn slot_loop(shared: &FleetShared, shard: usize) {
+    while let Some(Work { item, spec }) = shared.next_cell(shard) {
+        let followed = match post_run(shared, shard, &spec.to_json().render()) {
+            Ok(Some(remote)) => {
+                shared.core().posted(shard, item, remote);
+                follow(shared, shard, remote, None)
             }
-            std::thread::sleep(IDLE_STEP);
-            continue;
-        }
-        let Some((class, item)) = shared.queue.pop() else {
-            return;
+            // The shard may recover: hand the cell back.
+            Ok(None) => Followed::Lost,
+            Err(reason) => Followed::Settled(Err(reason)),
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            continue; // drain without dispatching
-        }
-        if !shared.shards.in_rotation(shard) {
-            // Paused while this slot was blocked in `pop` (the rollout
-            // engine is draining the shard): another slot takes the item.
-            requeue(shared, class, item, &shared.metrics.redispatched);
-            continue;
-        }
-        if let Some(remote) = dispatch(shared, shard, class, item) {
-            land(shared, class, item, follow(shared, shard, remote, None));
-        }
-    }
-}
-
-/// Dispatches one work item to `shard`: POSTs the cell's spec and records
-/// the shard-local job ID, which it returns. A refused or unreachable shard
-/// puts the item back on the queue (the supervisor is restarting the shard
-/// meanwhile); an item that cannot be requeued fails its cell.
-fn dispatch(shared: &Arc<FleetShared>, shard: usize, class: Class, item: WorkItem) -> Option<u64> {
-    let Some(job) = shared.board.get(item.fleet_id) else {
-        return None; // forgotten (admission rolled back)
-    };
-    if job.state.is_settled() {
-        return None; // cancelled while queued
-    }
-    let Some(cell) = job.cells.get(item.cell) else {
-        return None; // malformed item; nothing sensible to do
-    };
-    if cell.state != CellState::Pending {
-        return None; // duplicate item; already dispatched
-    }
-    match post_run(shared, shard, &cell.spec.to_json().render()) {
-        Ok(Some(remote)) => {
-            shared.apply_update(item.fleet_id, |job| {
-                job.cells[item.cell].state = CellState::Dispatched { shard, remote };
-            });
-            Some(remote)
-        }
-        Ok(None) => {
-            requeue(shared, class, item, &shared.metrics.redispatched);
-            None
-        }
-        Err(reason) => {
-            fail_cell(shared, &item, &reason);
-            None
-        }
+        land(shared, shard, item, followed);
     }
 }
 
@@ -512,25 +440,6 @@ fn post_run(shared: &FleetShared, shard: usize, spec: &str) -> Result<Option<u64
         .ok_or_else(|| "shard sent an unreadable 202 body".to_owned())
 }
 
-/// Puts an item back on the queue after a short pause, counting it in
-/// `counter`. The requeue bypasses the class cap — the item was already
-/// admitted, and a momentarily full queue (e.g. a saturating burst while
-/// a shard is paused for a rollout) must not cost the job — so only a
-/// closed queue (shutdown) fails the cell.
-fn requeue(shared: &Arc<FleetShared>, class: Class, item: WorkItem, counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-    std::thread::sleep(Duration::from_millis(100));
-    if shared.queue.requeue(class, (class, item)).is_err() {
-        fail_cell(shared, &item, "shard unreachable and dispatch queue closed");
-    }
-}
-
-fn fail_cell(shared: &Arc<FleetShared>, item: &WorkItem, reason: &str) {
-    shared.apply_update(item.fleet_id, |job| {
-        job.cells[item.cell].state = CellState::Failed(reason.to_owned());
-    });
-}
-
 /// How a shard-local job [`follow`] watched ended.
 #[derive(Debug, PartialEq)]
 enum Followed {
@@ -555,13 +464,14 @@ enum Followed {
 /// the same ID (a `SIGKILL`ed shard replays its journal and keeps it)
 /// until the supervisor quarantines it.
 fn follow(shared: &FleetShared, shard: usize, remote: u64, until: Option<Instant>) -> Followed {
+    let closed = || shared.core().is_closed();
     let status = format!("/v1/jobs/{remote}");
     loop {
         let wait = match until {
             None => FOLLOW_READ,
             Some(until) => until.saturating_duration_since(Instant::now()),
         };
-        if wait.is_zero() || shared.shutdown.load(Ordering::SeqCst) {
+        if wait.is_zero() || closed() {
             return Followed::TimedOut;
         }
         // The address changes across restarts; read it every pass.
@@ -571,9 +481,9 @@ fn follow(shared: &FleetShared, shard: usize, remote: u64, until: Option<Instant
         let reply = match client.request("GET", &status, None) {
             Ok(reply) if reply.status == 404 => return Followed::Lost,
             Ok(reply) => reply,
-            Err(_) if shared.shards.is_quarantined(shard) => return Followed::Quarantined,
+            Err(_) if shared.core().is_quarantined(shard) => return Followed::Quarantined,
             Err(_) => {
-                std::thread::sleep(IDLE_STEP);
+                std::thread::sleep(FOLLOW_RETRY);
                 continue;
             }
         };
@@ -585,7 +495,7 @@ fn follow(shared: &FleetShared, shard: usize, remote: u64, until: Option<Instant
             .and_then(|reply| reply.into_result().ok())
             .and_then(|reply| json::parse(&reply.body).ok());
         let Some(record) = record else {
-            std::thread::sleep(IDLE_STEP);
+            std::thread::sleep(FOLLOW_RETRY);
             continue;
         };
         if let Some(outcome) = settled(&record) {
@@ -593,7 +503,7 @@ fn follow(shared: &FleetShared, shard: usize, remote: u64, until: Option<Instant
         }
         let _ = client.stream(&format!("{status}/events"), &mut |_| {
             let expired = until.is_some_and(|until| Instant::now() >= until);
-            if expired || shared.shutdown.load(Ordering::SeqCst) {
+            if expired || closed() {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
@@ -620,72 +530,43 @@ fn settled(record: &Json) -> Option<Result<Json, String>> {
     })
 }
 
-/// Lands what [`follow`] saw on the board. A shard that lost the job, or
+/// Lands what [`follow`] saw in the core. A shard that lost the job, or
 /// was quarantined with it (its journal still holds the job, but nothing
-/// replays it until an operator rolls the shard back in), puts the cell
-/// back in play.
-fn land(shared: &Arc<FleetShared>, class: Class, item: WorkItem, followed: Followed) {
-    let state = match followed {
-        Followed::Settled(Ok(doc)) => CellState::Done(doc),
-        Followed::Settled(Err(e)) => CellState::Failed(e),
-        Followed::Lost | Followed::Quarantined => {
-            shared.apply_update(item.fleet_id, |job| {
-                job.cells[item.cell].state = CellState::Pending;
-            });
-            let counter = match followed {
-                Followed::Lost => &shared.metrics.redispatched,
-                _ => &shared.metrics.failover,
-            };
-            return requeue(shared, class, item, counter);
+/// replays it until an operator rolls the shard back in), hands the cell
+/// back; so does a slot letting go at shutdown.
+fn land(shared: &FleetShared, shard: usize, item: WorkItem, followed: Followed) {
+    let publish = shared.update(|core| match followed {
+        Followed::Settled(outcome) => core.settled(shard, item, outcome),
+        Followed::Lost | Followed::Quarantined | Followed::TimedOut => {
+            core.lost(shard, item);
+            None
         }
-        Followed::TimedOut => return, // shutting down
-    };
-    // The `rolling_to` read happens inside the board lock: staged
-    // resolution clears the flag *before* taking that lock, so a result
-    // landing after resolution scanned the board sees 0 here and settles
-    // directly — no cell can stay staged forever.
-    shared.apply_update(item.fleet_id, |job| {
-        job.cells[item.cell].state = match state {
-            CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
-                CellState::Staged(doc)
-            }
-            other => other,
-        };
     });
-    // Publish grid progress when a cell landed (a settled job — every
-    // single run whose cell landed — already published its final snapshot
-    // in apply_update).
-    let Some(job) = shared.board.get(item.fleet_id) else {
-        return;
-    };
-    if !job.state.is_settled() && matches!(job.cells[item.cell].state, CellState::Done(_)) {
-        let (done, total) = (job.cells_done(), job.cells_total());
-        shared.progress.publish(item.fleet_id, |jp| {
-            // Slots land concurrently: a stale count never goes backwards.
-            jp.phase = "measure";
-            jp.cells_done = done.max(jp.cells_done);
-            jp.cells_total = total;
-            jp.ops = done.max(jp.ops);
-        });
-    }
+    shared.publish(publish);
 }
 
-/// The supervisor: periodic health sweep over the shard set. A shard that
-/// exhausts its crash-loop budget comes back quarantined; the slots
-/// following its cells hand them back to the queue.
-fn supervisor_loop(shared: &Arc<FleetShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        shared.shards.check_and_restart();
-        // Sleep in small steps so shutdown is prompt.
-        let mut slept = Duration::ZERO;
-        while slept < SUPERVISE_EVERY && !shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(IDLE_STEP);
-            slept += IDLE_STEP;
+/// The supervisor: a health sweep every [`SUPERVISE_EVERY`] over the
+/// shards in rotation. A shard that exhausts its crash-loop budget is
+/// quarantined in the core; the slots following its cells hand them back.
+fn supervisor_loop(shared: &FleetShared) {
+    loop {
+        let spent = shared
+            .shards
+            .check_and_restart(|i| !shared.core().in_rotation(i));
+        for shard in spent {
+            shared.update(|core| core.set_quarantined(shard, true));
+        }
+        let (core, _) = shared
+            .changed
+            .wait_timeout_while(shared.core(), SUPERVISE_EVERY, |core| !core.is_closed())
+            .expect("fleet core lock poisoned");
+        if core.is_closed() {
+            return;
         }
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<FleetShared>) {
+fn handle_connection(stream: TcpStream, shared: &FleetShared) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -704,7 +585,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<FleetShared>) {
             Err(_) => return,
         };
         if let Some(id) = events_target(&request) {
-            if shared.board.get(id).is_some() {
+            if shared.core().job(id).is_some() {
                 let _ = stream_fleet_events(shared, id, &mut writer);
             } else {
                 let _ = Response::error(404, ErrorCode::NotFound, "no such job")
@@ -713,14 +594,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<FleetShared>) {
             return;
         }
         let response = route(shared, &request);
-        let close = !request.keep_alive() || shared.shutdown.load(Ordering::SeqCst);
+        let close = !request.keep_alive() || shared.core().is_closed();
         if response.write_to(&mut writer, close).is_err() || close {
             return;
         }
     }
 }
 
-fn route(shared: &Arc<FleetShared>, request: &Request) -> Response {
+fn route(shared: &FleetShared, request: &Request) -> Response {
     let (path, query) = request
         .path
         .split_once('?')
@@ -766,7 +647,7 @@ fn route(shared: &Arc<FleetShared>, request: &Request) -> Response {
     }
 }
 
-fn job_route(shared: &Arc<FleetShared>, method: &str, rest: &str) -> Response {
+fn job_route(shared: &FleetShared, method: &str, rest: &str) -> Response {
     let (id_text, action) = match rest.split_once('/') {
         None => (rest, None),
         Some((id, action)) => (id, Some(action)),
@@ -775,26 +656,24 @@ fn job_route(shared: &Arc<FleetShared>, method: &str, rest: &str) -> Response {
         return Response::error(404, ErrorCode::NotFound, "job IDs are integers");
     };
     match (method, action) {
-        ("GET", None) => match shared.board.get(id) {
-            Some(job) => Response::json(200, &job.to_json()),
-            None => Response::error(404, ErrorCode::NotFound, "no such job"),
-        },
+        ("GET", None) => {
+            let doc = shared.core().job(id).map(FleetJob::to_json);
+            match doc {
+                Some(doc) => Response::json(200, &doc),
+                None => Response::error(404, ErrorCode::NotFound, "no such job"),
+            }
+        }
         ("POST", Some("cancel")) => {
-            // Fetch the quota identity first; cancel only succeeds from
-            // `queued`, where the slot is still held.
-            let client = shared.board.get(id).map(|j| j.client);
-            match shared.board.cancel(id) {
-                CancelOutcome::Cancelled => {
-                    if let Some(client) = client {
-                        shared.quotas.release(&client);
-                    }
-                    shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+            let cancelled = shared.update(|core| core.cancel(id));
+            match cancelled {
+                Ok(publish) => {
+                    shared.publish([publish]);
                     Response::json(
                         200,
                         &Json::obj([("id", Json::from(id)), ("state", Json::from("cancelled"))]),
                     )
                 }
-                CancelOutcome::TooLate(state) => Response::error(
+                Err(CancelOutcome::TooLate(state)) => Response::error(
                     409,
                     ErrorCode::Conflict,
                     &format!(
@@ -802,7 +681,7 @@ fn job_route(shared: &Arc<FleetShared>, method: &str, rest: &str) -> Response {
                         state.as_str()
                     ),
                 ),
-                CancelOutcome::NotFound => Response::error(404, ErrorCode::NotFound, "no such job"),
+                Err(_) => Response::error(404, ErrorCode::NotFound, "no such job"),
             }
         }
         (_, None) => Response::error(405, ErrorCode::MethodNotAllowed, "method not allowed"),
@@ -810,13 +689,11 @@ fn job_route(shared: &Arc<FleetShared>, method: &str, rest: &str) -> Response {
     }
 }
 
-/// Admission: parse → classify → quota-check → plan → enqueue. Quota
-/// refusals answer `429 quota_exceeded`; a full class queue answers `503
-/// queue_full` — both with the class's `Retry-After`.
-fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::error(503, ErrorCode::ShuttingDown, "fleet is shutting down");
-    }
+/// Admission: parse → classify → admit every cell or none. A job larger
+/// than its class queue answers `400 invalid_spec`; quota refusals answer
+/// `429 quota_exceeded`, a full class queue `503 queue_full` — both with
+/// the class's `Retry-After`.
+fn submit(shared: &FleetShared, request: &Request) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return Response::error(400, ErrorCode::BadRequest, "body is not UTF-8"),
@@ -853,71 +730,51 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
             JobSpec::Grid(_) => Class::Batch,
         },
     };
-    let client = request
-        .header("x-baryon-client")
-        .unwrap_or("anon")
-        .trim()
-        .to_owned();
-    if !shared.quotas.try_acquire(&client) {
-        shared
-            .metrics
-            .rejected_quota
-            .fetch_add(1, Ordering::Relaxed);
-        return Response::error(
+    let client = request.header("x-baryon-client").unwrap_or("anon").trim();
+    let cells = spec.runs();
+    let (status, code, message) = match shared.update(|core| core.admit(spec, client, class)) {
+        Ok(id) => {
+            return Response::json(
+                202,
+                &Json::obj([
+                    ("id", Json::from(id)),
+                    ("state", Json::from("queued")),
+                    ("class", Json::from(class.as_str())),
+                    ("cells", Json::from(cells as u64)),
+                ]),
+            )
+        }
+        Err(Refusal::TooLarge { cells, cap }) => {
+            return Response::error(
+                400,
+                ErrorCode::InvalidSpec,
+                &format!(
+                    "invalid job spec: {cells} cells exceed the {} queue's capacity of {cap}",
+                    class.as_str()
+                ),
+            )
+        }
+        Err(Refusal::Quota { max }) => (
             429,
             ErrorCode::QuotaExceeded,
-            &format!(
-                "client {client:?} already has {} jobs in flight",
-                shared.quotas.max_in_flight()
+            format!("client {client:?} already has {max} jobs in flight"),
+        ),
+        Err(Refusal::Full { cells, room }) => (
+            503,
+            ErrorCode::QueueFull,
+            format!(
+                "{} queue full ({room} free for {cells} cells), retry later",
+                class.as_str()
             ),
-        )
-        .header("Retry-After", &class.retry_after_secs().to_string());
-    }
-    let cells_total = spec.runs();
-    let id = shared.board.admit(spec, client.clone(), class);
-    for cell in 0..cells_total {
-        let item = WorkItem { fleet_id: id, cell };
-        match shared.queue.push(class, (class, item)) {
-            Ok(()) => {}
-            Err(e) => {
-                // Roll the whole job back; cells already queued will find
-                // the job forgotten and drop on the dispatch floor.
-                shared.board.forget(id);
-                shared.quotas.release(&client);
-                shared
-                    .metrics
-                    .rejected_queue
-                    .fetch_add(1, Ordering::Relaxed);
-                let (status, code, message) = match e {
-                    QueueError::Full => (
-                        503,
-                        ErrorCode::QueueFull,
-                        format!(
-                            "{} queue full after {cell} of {cells_total} cells, retry later",
-                            class.as_str()
-                        ),
-                    ),
-                    QueueError::Closed => (
-                        503,
-                        ErrorCode::ShuttingDown,
-                        "fleet is shutting down".to_owned(),
-                    ),
-                };
-                return Response::error(status, code, &message)
-                    .header("Retry-After", &class.retry_after_secs().to_string());
-            }
-        }
-    }
-    shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-    Response::json(
-        202,
-        &Json::obj([
-            ("id", Json::from(id)),
-            ("state", Json::from("queued")),
-            ("class", Json::from(class.as_str())),
-            ("cells", Json::from(cells_total as u64)),
-        ]),
-    )
+        ),
+        Err(Refusal::Closed) => (
+            503,
+            ErrorCode::ShuttingDown,
+            "fleet is shutting down".to_owned(),
+        ),
+    };
+    Response::error(status, code, &message)
+        .header("Retry-After", &class.retry_after_secs().to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -960,7 +817,7 @@ fn persist_slot_machine(shared: &FleetShared, machine: &SlotMachine) {
 
 /// `POST /v1/admin/config/stage` — validate the candidate policy and
 /// persist it into the non-active slot.
-fn admin_stage(shared: &Arc<FleetShared>, request: &Request) -> Response {
+fn admin_stage(shared: &FleetShared, request: &Request) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => return Response::error(400, ErrorCode::BadRequest, "body is not UTF-8"),
@@ -1022,7 +879,7 @@ fn admin_stage(shared: &Arc<FleetShared>, request: &Request) -> Response {
 /// `POST /v1/admin/config/commit` — rolling restart onto the staged slot,
 /// auto-rolling back to the active policy if any shard fails its health
 /// probe or canary, or if job failures regress during the roll.
-fn admin_commit(shared: &Arc<FleetShared>) -> Response {
+fn admin_commit(shared: &FleetShared) -> Response {
     let Ok(_guard) = shared.rollout.try_lock() else {
         return Response::error(409, ErrorCode::RolloutFailed, "a rollout is in flight");
     };
@@ -1045,13 +902,15 @@ fn admin_commit(shared: &Arc<FleetShared>) -> Response {
         }
     };
     let new_path = Some(slot_policy_path(&shared.config_dir, target));
-    // From here until the roll settles, results landing on the board are
-    // staged, not gathered: they may have been computed under a
-    // generation that is about to be rolled back.
-    shared.rolling_to.store(generation.max(1), Ordering::SeqCst);
-    match roll_fleet(shared, new_path, old_path) {
+    // From here until the roll settles, finished cells are staged, not
+    // gathered: they may have been computed under a generation that is
+    // about to be rolled back.
+    shared.update(FleetCore::begin_roll);
+    let rolled = roll_fleet(shared, new_path, old_path);
+    let publish = shared.update(|core| core.end_roll(rolled.is_ok()));
+    shared.publish(publish);
+    match rolled {
         Ok(()) => {
-            resolve_staged_results(shared, true);
             let mut machine = shared.config.lock().expect("config lock poisoned");
             machine.boot_succeeded();
             persist_slot_machine(shared, &machine);
@@ -1065,7 +924,6 @@ fn admin_commit(shared: &Arc<FleetShared>) -> Response {
             )
         }
         Err(reason) => {
-            resolve_staged_results(shared, false);
             let mut machine = shared.config.lock().expect("config lock poisoned");
             machine.boot_failed();
             persist_slot_machine(shared, &machine);
@@ -1078,41 +936,9 @@ fn admin_commit(shared: &Arc<FleetShared>) -> Response {
     }
 }
 
-/// Settles the roll's staged results once its outcome is known. On a
-/// committed roll the results are promoted (jobs settle, quotas release,
-/// streams wake). On a rolled-back roll they are quarantined — counted
-/// in `fleet.config.quarantined_results` — and their cells requeued for
-/// re-dispatch under the restored config, so the job's eventual gather
-/// is byte-identical to one computed wholly under that config.
-fn resolve_staged_results(shared: &Arc<FleetShared>, accept: bool) {
-    // Clear the flag before scanning: any result that lands after the
-    // scan observes 0 (the load is under the same board lock) and
-    // settles directly instead of staging forever.
-    shared.rolling_to.store(0, Ordering::SeqCst);
-    let resolution = shared.board.resolve_staged(accept);
-    for (id, client, _class) in &resolution.released {
-        shared.settle_bookkeeping(*id, client);
-    }
-    if !accept && resolution.count > 0 {
-        shared
-            .metrics
-            .quarantined_results
-            .fetch_add(resolution.count, Ordering::Relaxed);
-    }
-    for (id, cell) in resolution.requeue {
-        let Some(job) = shared.board.get(id) else {
-            continue;
-        };
-        let item = WorkItem { fleet_id: id, cell };
-        if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-            fail_cell(shared, &item, "staged result quarantined and queue closed");
-        }
-    }
-}
-
 /// `POST /v1/admin/config/rollback` — the same rolling mechanism, back
 /// onto the previous slot.
-fn admin_rollback(shared: &Arc<FleetShared>) -> Response {
+fn admin_rollback(shared: &FleetShared) -> Response {
     let Ok(_guard) = shared.rollout.try_lock() else {
         return Response::error(409, ErrorCode::RolloutFailed, "a rollout is in flight");
     };
@@ -1168,17 +994,18 @@ fn admin_rollback(shared: &Arc<FleetShared>) -> Response {
 /// `old_path` before returning the error — the fleet never stays split
 /// across policies longer than the undo takes.
 fn roll_fleet(
-    shared: &Arc<FleetShared>,
+    shared: &FleetShared,
     new_path: Option<PathBuf>,
     old_path: Option<PathBuf>,
 ) -> Result<(), String> {
-    let failed_before = shared.metrics.failed.load(Ordering::Relaxed);
+    let failed = || shared.core().counters().failed;
+    let failed_before = failed();
     let undo = |upto: usize| {
         for j in (0..=upto).rev() {
             if let Err(e) = roll_shard(shared, j, old_path.clone()) {
                 // Best effort: unpause and let the supervisor respawn it.
                 eprintln!("baryon-fleet: rollback of shard {j} failed: {e}");
-                shared.shards.unpause(j);
+                shared.update(|core| core.unpause(j));
             }
         }
     };
@@ -1191,7 +1018,7 @@ fn roll_fleet(
     // The canary exercised each shard in isolation; a config can pass it
     // and still fail real jobs. A regressing fleet-wide failure counter
     // during the roll is a rollback, not a success.
-    let failed_after = shared.metrics.failed.load(Ordering::Relaxed);
+    let failed_after = failed();
     if failed_after > failed_before {
         undo(shared.shards.len() - 1);
         return Err(format!(
@@ -1203,15 +1030,15 @@ fn roll_fleet(
 }
 
 /// Rolls one shard: pause → drain in-flight cells → respawn with the
-/// policy → health probe green → canary run. Unpauses on success; leaves
-/// the shard paused on failure so no work lands on it until the caller's
-/// rollback has restored the old policy.
+/// policy (which ends a quarantine) → health probe green → canary run.
+/// Unpauses on success; leaves the shard paused on failure so no work
+/// lands on it until the caller's rollback has restored the old policy.
 fn roll_shard(
-    shared: &Arc<FleetShared>,
+    shared: &FleetShared,
     index: usize,
     policy_path: Option<PathBuf>,
 ) -> Result<(), String> {
-    shared.shards.pause(index);
+    shared.update(|core| core.pause(index));
     let outcome = drain_shard(shared, index)
         .and_then(|()| {
             shared
@@ -1219,10 +1046,11 @@ fn roll_shard(
                 .restart_with_policy(index, policy_path)
                 .map_err(|e| format!("respawn failed: {e}"))
         })
+        .map(|()| shared.update(|core| core.set_quarantined(index, false)))
         .and_then(|()| probe_green(shared, index))
         .and_then(|()| canary(shared, index));
     if outcome.is_ok() {
-        shared.shards.unpause(index);
+        shared.update(|core| core.unpause(index));
     }
     outcome
 }
@@ -1230,34 +1058,26 @@ fn roll_shard(
 /// How long a rolling restart waits for a paused shard's cells to land.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Waits until the shard has no dispatched cells (its slots land them as
-/// they finish and pull nothing while the shard is paused).
-fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while shard_busy(shared, index) {
-        if Instant::now() >= deadline {
-            return Err("drain timed out with cells still in flight".to_owned());
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// Waits until the shard's slots hold no cells (they land them as they
+/// finish and pull nothing while the shard is paused).
+fn drain_shard(shared: &FleetShared, index: usize) -> Result<(), String> {
+    let (core, _) = shared
+        .changed
+        .wait_timeout_while(shared.core(), DRAIN_TIMEOUT, |core| {
+            core.in_flight(index) > 0
+        })
+        .expect("fleet core lock poisoned");
+    if core.in_flight(index) > 0 {
+        return Err("drain timed out with cells still in flight".to_owned());
     }
     Ok(())
-}
-
-/// Whether any unsettled fleet job has a cell dispatched on the shard.
-fn shard_busy(shared: &Arc<FleetShared>, index: usize) -> bool {
-    shared.board.active_ids().into_iter().any(|id| {
-        shared
-            .board
-            .get(id)
-            .is_some_and(|job| job.dispatched(Some(index)).next().is_some())
-    })
 }
 
 /// How long a restarted shard has to answer 3 green health probes.
 const PROBE_BUDGET: Duration = Duration::from_secs(10);
 
 /// Requires 3 consecutive green health probes within the probe budget.
-fn probe_green(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
+fn probe_green(shared: &FleetShared, index: usize) -> Result<(), String> {
     let deadline = Instant::now() + PROBE_BUDGET;
     let mut green = 0;
     loop {
@@ -1289,7 +1109,7 @@ const CANARY_SPEC: &str = r#"{"workload":"ycsb-a","controller":"baryon","insts":
 /// How long the canary run may take before the roll is declared failed.
 const CANARY_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
+fn canary(shared: &FleetShared, index: usize) -> Result<(), String> {
     let id = post_run(shared, index, CANARY_SPEC)
         .map_err(|e| format!("canary submit rejected: {e}"))?
         .ok_or_else(|| "canary submit failed: shard unavailable".to_owned())?;
@@ -1306,40 +1126,29 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
 /// wire registry absorbed under `shard<i>.`. The merge starts from a
 /// fresh registry each scrape, so a restarted shard's counters replace
 /// (not double-count) its previous incarnation's.
-fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
+fn metrics_response(shared: &FleetShared, _query: &str) -> Response {
     let mut reg = Registry::new();
-    let m = &shared.metrics;
-    reg.set_counter("fleet.jobs.submitted", m.submitted.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.jobs.rejected_quota",
-        m.rejected_quota.load(Ordering::Relaxed),
-    );
-    reg.set_counter(
-        "fleet.jobs.rejected_queue",
-        m.rejected_queue.load(Ordering::Relaxed),
-    );
-    reg.set_counter("fleet.jobs.done", m.done.load(Ordering::Relaxed));
-    reg.set_counter("fleet.jobs.failed", m.failed.load(Ordering::Relaxed));
-    reg.set_counter("fleet.jobs.cancelled", m.cancelled.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.dispatch.requeued",
-        m.redispatched.load(Ordering::Relaxed),
-    );
+    let (m, (interactive, batch), quarantined) = {
+        let core = shared.core();
+        (
+            core.counters(),
+            core.queue_depths(),
+            core.quarantined_count(),
+        )
+    };
+    reg.set_counter("fleet.jobs.submitted", m.submitted);
+    reg.set_counter("fleet.jobs.rejected_quota", m.rejected_quota);
+    reg.set_counter("fleet.jobs.rejected_queue", m.rejected_queue);
+    reg.set_counter("fleet.jobs.done", m.done);
+    reg.set_counter("fleet.jobs.failed", m.failed);
+    reg.set_counter("fleet.jobs.cancelled", m.cancelled);
+    reg.set_counter("fleet.dispatch.requeued", m.requeued);
     reg.set_counter("fleet.shards.total", shared.shards.len() as u64);
     reg.set_counter("fleet.shards.restarts", shared.shards.restarts());
-    reg.set_gauge(
-        "fleet.shards.quarantined",
-        shared.shards.quarantined_count() as f64,
-    );
-    reg.set_counter("fleet.cells.failover", m.failover.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.shard.reply_errors",
-        m.reply_errors.load(Ordering::Relaxed),
-    );
-    reg.set_counter(
-        "fleet.config.quarantined_results",
-        m.quarantined_results.load(Ordering::Relaxed),
-    );
+    reg.set_gauge("fleet.shards.quarantined", quarantined as f64);
+    reg.set_counter("fleet.cells.failover", m.failover);
+    reg.set_counter("fleet.shard.reply_errors", m.reply_errors);
+    reg.set_counter("fleet.config.quarantined_results", m.quarantined_results);
     {
         let machine = shared.config.lock().expect("config lock poisoned");
         reg.set_gauge(
@@ -1354,7 +1163,6 @@ fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
             shared.shards.respawn_backoff_ms(i) as f64,
         );
     }
-    let (interactive, batch) = shared.queue.depths();
     reg.set_counter("fleet.queue.interactive_depth", interactive as u64);
     reg.set_counter("fleet.queue.batch_depth", batch as u64);
     let mut unreachable = 0;
@@ -1382,47 +1190,51 @@ fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
     Response::json(200, &reg.to_json())
 }
 
-fn shutdown(shared: &Arc<FleetShared>) -> Response {
-    let (interactive, batch) = shared.queue.depths();
-    shared.shutdown.store(true, Ordering::SeqCst);
-    shared.queue.close();
+fn shutdown(shared: &FleetShared) -> Response {
+    let draining = shared.update(FleetCore::close);
+    // Wake the accept loop so it sees the close.
     let _ = TcpStream::connect(shared.addr);
     Response::json(
         200,
         &Json::obj([
             ("ok", Json::Bool(true)),
-            ("draining", Json::from((interactive + batch) as u64)),
+            ("draining", Json::from(draining as u64)),
         ]),
     )
 }
 
 /// Streams a fleet job's events. A grid synthesizes `progress` from the
-/// coordinator's cell bookkeeping; a dispatched single run proxies the
-/// shard it was dispatched to ([`FleetJob::stream_target`]) with the
+/// coordinator's cell bookkeeping; a posted single run proxies the
+/// shard it was posted to ([`FleetJob::stream_target`]) with the
 /// shard-local ID rewritten to the fleet ID (and a monotonicity filter so
 /// a shard restart's replayed early events never reach the client out of
 /// order).
-fn stream_fleet_events(
-    shared: &Arc<FleetShared>,
-    id: u64,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
+fn stream_fleet_events(shared: &FleetShared, id: u64, writer: &mut TcpStream) -> io::Result<()> {
     let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
     let mut cursor = EventCursor::new(id);
     let mut last_ops = 0;
+    // The core settles a job before its settle publish, so a settle
+    // landing just before a wait still wakes it.
+    let ended = || {
+        shared
+            .core()
+            .job(id)
+            .is_none_or(|job| job.state.is_settled())
+    };
     loop {
-        let Some(job) = shared.board.get(id) else {
+        let Some((state, target)) = shared
+            .core()
+            .job(id)
+            .map(|job| (job.state, job.stream_target()))
+        else {
             return end_stream(stream, id, "evicted");
         };
-        if job.state.is_settled() {
-            return end_stream(stream, id, job.state.as_str());
+        if state.is_settled() {
+            return end_stream(stream, id, state.as_str());
         }
-        // The board settles a job before its settle publish, so a settle
-        // landing just before a wait still wakes it.
-        let ended = || shared.board.state(id).is_none_or(JobState::is_settled);
-        // A dispatched single run proxies the shard's stream directly —
-        // live simulator progress.
-        if let Some((shard, remote)) = job.stream_target() {
+        // A posted single run proxies the shard's stream directly — live
+        // simulator progress.
+        if let Some((shard, remote)) = target {
             proxy_single_stream(shared, id, shard, remote, &mut stream, &mut last_ops)?;
             // The shard's stream ended (job settled there, or the shard
             // died mid-run). The slot following the cell lands the result
@@ -1443,7 +1255,7 @@ fn stream_fleet_events(
 /// once the slot following the cell lands the result. Returns when the shard stream closes
 /// or errors (the caller re-checks the board and reconnects).
 fn proxy_single_stream(
-    shared: &Arc<FleetShared>,
+    shared: &FleetShared,
     fleet_id: u64,
     shard: usize,
     remote: u64,

@@ -4,15 +4,19 @@
 //! processes, each with its own journal directory), giving the simulator
 //! a horizontally scaled, crash-tolerant job service:
 //!
-//! * **Dispatch** — every fleet job is a list of cells ([`router`]). Each
-//!   shard worker has one dispatch slot that pulls the next cell while its
-//!   shard is in rotation and follows it to its end, so a cell runs on
-//!   whichever shard has a free worker; a grid's cells gather back
+//! * **Dispatch** — every dispatch decision is [`fleet_core::FleetCore`]'s:
+//!   plain data (job board, class queues, quotas, counters, shard rotation,
+//!   the roll flag) under one lock, property-tested against a fake shard.
+//!   Every fleet job is a list of cells. Each shard worker has one
+//!   dispatch slot ([`coordinator`]) that waits until the core hands its
+//!   shard a cell and follows it to its end, so a cell runs on whichever
+//!   shard has a free worker; a grid's cells gather back
 //!   ([`baryon_bench::spec::JobSpec::gather`]) into the byte-identical
-//!   single-process result document.
+//!   single-process result document. The last 256 settled jobs stay
+//!   readable.
 //! * **QoS** — per-client in-flight quotas (`429 quota_exceeded`) and a
 //!   two-level interactive/batch dispatch queue with per-class bounds and
-//!   `Retry-After` ([`quota`]).
+//!   `Retry-After`; a job is admitted whole or not at all.
 //! * **Supervision** — shards are health-checked and restarted in place;
 //!   a restarted shard replays its write-ahead journal and resumes
 //!   interrupted runs from checkpoints, so a mid-sweep `SIGKILL` costs
@@ -50,9 +54,8 @@
 
 pub mod config;
 pub mod coordinator;
+pub mod fleet_core;
 pub mod harness;
-pub mod quota;
-pub mod router;
 pub mod shard;
 
 pub use config::SlotMachine;

@@ -118,28 +118,59 @@ struct Shard {
     /// Policy file this incarnation booted with (may diverge from the
     /// launcher's during a rolling rollout); respawns reuse it.
     policy_path: Option<PathBuf>,
-    /// Paused shards are skipped by the supervisor and receive no new
-    /// dispatches — the rollout engine pauses a shard while draining it.
-    paused: bool,
-    /// Supervisor-driven respawns within [`RESPAWN_WINDOW`] of each other
-    /// (a crash loop); resets once the shard stays up past the window.
-    consecutive_respawns: u32,
-    /// When the last supervisor-driven respawn happened.
-    last_respawn: Option<Instant>,
-    /// Crash-loop backoff: the supervisor will not respawn before this.
-    backoff_until: Option<Instant>,
-    /// Quarantined shards exhausted their crash-loop budget: the
-    /// supervisor stops respawning them and their dispatch slots pull no
-    /// work. Only a deliberate
-    /// [`ShardSet::restart_with_policy`] brings one back.
-    quarantined: bool,
+    /// Supervisor respawns and their backoff.
+    crash_loop: CrashLoop,
+}
+
+/// One shard's crash-loop accounting, a pure function of its respawn
+/// instants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CrashLoop {
+    /// Supervisor respawns in a row, each within [`RESPAWN_WINDOW`] of
+    /// the end of the previous one's backoff.
+    streak: u32,
+    /// When the last respawn's backoff ends: the supervisor does not
+    /// respawn the shard before it.
+    backoff_end: Option<Instant>,
+}
+
+impl CrashLoop {
+    /// The streak a respawn at `now` would make. The window runs from the
+    /// end of the previous backoff, so a backoff longer than the window
+    /// cannot reset the streak that armed it.
+    fn streak_at(&self, now: Instant) -> u32 {
+        match self.backoff_end {
+            Some(end) if now.saturating_duration_since(end) < RESPAWN_WINDOW => {
+                self.streak.saturating_add(1)
+            }
+            _ => 1,
+        }
+    }
+
+    /// Records a respawn of shard `index` at `now` and arms its backoff.
+    fn respawned(&mut self, now: Instant, index: usize) {
+        self.streak = self.streak_at(now);
+        self.backoff_end = Some(now + respawn_backoff(self.streak, index));
+    }
+}
+
+/// What [`ShardSet::restart`] did.
+enum Restart {
+    /// A fresh incarnation is up.
+    Up,
+    /// The respawn would have spent the crash-loop budget: the shard is
+    /// killed and left down.
+    Quarantined,
+    /// Nothing is up: a lost race, or a failed spawn the next tick retries.
+    Down,
 }
 
 /// Consecutive health-probe failures before a live-but-wedged shard is
 /// killed and restarted.
 const MAX_HEALTH_FAILURES: u32 = 5;
 
-/// Two respawns within this window count as a crash loop.
+/// A respawn within this window of the end of the previous respawn's
+/// backoff extends a crash loop.
 const RESPAWN_WINDOW: Duration = Duration::from_secs(10);
 
 /// First crash-loop backoff step; doubles per consecutive respawn.
@@ -148,9 +179,10 @@ const BACKOFF_BASE_MS: u64 = 500;
 /// Crash-loop backoff ceiling.
 const BACKOFF_CAP_MS: u64 = 30_000;
 
-/// Default crash-loop budget: this many supervisor respawns, each within
-/// [`RESPAWN_WINDOW`] of the last, quarantine the shard. Overridable via
-/// `BARYON_FLEET_QUARANTINE_AFTER` (`0` disables quarantine entirely).
+/// Default crash-loop budget: this many supervisor respawns in a row,
+/// each within [`RESPAWN_WINDOW`] of the previous one's backoff ending,
+/// quarantine the shard. Overridable via `BARYON_FLEET_QUARANTINE_AFTER`
+/// (`0` disables quarantine entirely).
 const QUARANTINE_AFTER_DEFAULT: u32 = 8;
 
 /// The crash-loop budget from `BARYON_FLEET_QUARANTINE_AFTER`, falling
@@ -218,11 +250,7 @@ impl ShardSet {
                     generation: 0,
                     health_failures: 0,
                     policy_path: launcher.policy_path.clone(),
-                    paused: false,
-                    consecutive_respawns: 0,
-                    last_respawn: None,
-                    backoff_until: None,
-                    quarantined: false,
+                    crash_loop: CrashLoop::default(),
                 })),
                 Err(e) => {
                     for slot in &slots {
@@ -273,55 +301,12 @@ impl ShardSet {
         self.restarts.load(Ordering::Relaxed)
     }
 
-    /// Pauses a shard: the supervisor leaves it alone and the coordinator
-    /// stops dispatching to it. Used while the rollout engine drains and
-    /// restarts the shard.
-    pub fn pause(&self, index: usize) {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused = true;
-    }
-
-    /// Resumes supervision and dispatch for a paused shard.
-    pub fn unpause(&self, index: usize) {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused = false;
-    }
-
-    /// Whether the shard takes new work: neither paused nor quarantined.
-    pub fn in_rotation(&self, index: usize) -> bool {
-        let shard = self.slots[index].lock().expect("shard lock poisoned");
-        !shard.paused && !shard.quarantined
-    }
-
-    /// Whether the shard has exhausted its crash-loop budget and been
-    /// taken out of rotation.
-    pub fn is_quarantined(&self, index: usize) -> bool {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .quarantined
-    }
-
-    /// How many shards are currently quarantined. Exported as the
-    /// `fleet.shards.quarantined` gauge.
-    pub fn quarantined_count(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter(|slot| slot.lock().expect("shard lock poisoned").quarantined)
-            .count() as u64
-    }
-
     /// The shard's remaining crash-loop backoff in milliseconds (0 when it
     /// is not backing off). Exported as `fleet.shard<i>.respawn_backoff_ms`.
     pub fn respawn_backoff_ms(&self, index: usize) -> u64 {
         let shard = self.slots[index].lock().expect("shard lock poisoned");
-        shard.backoff_until.map_or(0, |until| {
-            until
-                .saturating_duration_since(Instant::now())
+        shard.crash_loop.backoff_end.map_or(0, |end| {
+            end.saturating_duration_since(Instant::now())
                 .as_millis()
                 .min(u128::from(u64::MAX)) as u64
         })
@@ -338,25 +323,28 @@ impl ShardSet {
         shard.child.kill()
     }
 
-    /// One supervisor tick: restart exited shards, probe the rest, and
-    /// kill-and-restart any shard failing [`MAX_HEALTH_FAILURES`]
-    /// consecutive probes. A shard that blows through its crash-loop
-    /// budget (`BARYON_FLEET_QUARANTINE_AFTER` rapid respawns) is
-    /// quarantined instead of respawned again.
-    pub fn check_and_restart(&self) {
+    /// One supervisor tick over the shards `skip` does not hold out of
+    /// rotation: restart exited shards, probe the rest, and kill and
+    /// restart any shard failing [`MAX_HEALTH_FAILURES`] consecutive
+    /// probes. Returns the shards that blew through their crash-loop
+    /// budget (`BARYON_FLEET_QUARANTINE_AFTER` rapid respawns) and were
+    /// left down instead of respawned: the caller quarantines them.
+    pub fn check_and_restart(&self, skip: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut quarantined = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
+            if skip(i) {
+                continue; // owned by the rollout engine, or quarantined
+            }
             // Probe without holding the lock — a slow shard must not
             // block address lookups on the dispatch path.
             let (addr, generation, dead) = {
                 let mut shard = slot.lock().expect("shard lock poisoned");
-                if shard.paused || shard.quarantined {
-                    continue; // owned by the rollout engine / out of rotation
-                }
-                if let Some(until) = shard.backoff_until {
-                    if Instant::now() < until {
-                        continue; // crash-looping; let the backoff elapse
-                    }
-                    shard.backoff_until = None;
+                if shard
+                    .crash_loop
+                    .backoff_end
+                    .is_some_and(|end| Instant::now() < end)
+                {
+                    continue; // crash-looping; let the backoff elapse
                 }
                 let dead = matches!(shard.child.try_wait(), Ok(Some(_)));
                 (shard.addr, shard.generation, dead)
@@ -383,44 +371,40 @@ impl ShardSet {
                     }
                 }
             };
-            if unhealthy && self.restart(i, generation) {
-                self.restarts.fetch_add(1, Ordering::Relaxed);
+            if !unhealthy {
+                continue;
+            }
+            match self.restart(i, generation) {
+                Restart::Up => {
+                    self.restarts.fetch_add(1, Ordering::Relaxed);
+                }
+                Restart::Quarantined => quarantined.push(i),
+                Restart::Down => {}
             }
         }
+        quarantined
     }
 
     /// Kills (if still alive) and respawns the shard on its journal
-    /// directory, keeping its current policy file. Tracks crash loops:
-    /// respawns landing within [`RESPAWN_WINDOW`] of the previous one arm
-    /// an exponential backoff the supervisor honours before the next try,
-    /// and once they exhaust the quarantine budget the shard is retired
-    /// instead of respawned. Returns whether a fresh incarnation is up
-    /// (`false` after a lost race, a failed respawn the next tick retries,
-    /// or a quarantine).
-    fn restart(&self, index: usize, expected_generation: u64) -> bool {
+    /// directory, keeping its current policy file. Each respawn extends or
+    /// restarts the shard's crash loop ([`CrashLoop`]) and arms its
+    /// backoff; a respawn that would spend the quarantine budget kills the
+    /// shard and leaves it down instead.
+    fn restart(&self, index: usize, expected_generation: u64) -> Restart {
         let policy_path = {
             let mut shard = self.slots[index].lock().expect("shard lock poisoned");
             if shard.generation != expected_generation {
-                return false;
+                return Restart::Down;
             }
             // Spend the crash-loop budget before paying for a spawn: if
             // this respawn would be the one that exhausts it, retire the
             // shard now — the coordinator requeues its cells.
-            let now = Instant::now();
-            let prospective = match shard.last_respawn {
-                Some(last) if now.duration_since(last) < RESPAWN_WINDOW => {
-                    shard.consecutive_respawns.saturating_add(1)
-                }
-                _ => 1,
-            };
-            if self.quarantine_after > 0 && prospective >= self.quarantine_after {
-                shard.quarantined = true;
+            let streak = shard.crash_loop.streak_at(Instant::now());
+            if self.quarantine_after > 0 && streak >= self.quarantine_after {
                 let _ = shard.child.kill();
                 let _ = shard.child.wait();
-                eprintln!(
-                    "baryon-fleet: shard {index} quarantined after {prospective} rapid respawns"
-                );
-                return false;
+                eprintln!("baryon-fleet: shard {index} quarantined after {streak} rapid respawns");
+                return Restart::Quarantined;
             }
             shard.policy_path.clone()
         };
@@ -433,37 +417,24 @@ impl ShardSet {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            return false;
+            return Restart::Down;
         }
         let _ = shard.child.kill();
         let _ = shard.child.wait();
-        let now = Instant::now();
-        shard.consecutive_respawns = match shard.last_respawn {
-            Some(last) if now.duration_since(last) < RESPAWN_WINDOW => {
-                shard.consecutive_respawns.saturating_add(1)
-            }
-            _ => 1,
-        };
-        shard.last_respawn = Some(now);
-        let backoff = respawn_backoff(shard.consecutive_respawns, index);
-        shard.backoff_until = if backoff.is_zero() {
-            None
-        } else {
-            Some(now + backoff)
-        };
+        shard.crash_loop.respawned(Instant::now(), index);
         match spawned {
             Ok((child, addr)) => {
                 shard.child = child;
                 shard.addr = addr;
                 shard.generation += 1;
                 shard.health_failures = 0;
-                true
+                Restart::Up
             }
             Err(e) => {
                 // The old child is dead and the new one would not come up;
                 // the next tick retries once the backoff elapses.
                 eprintln!("baryon-fleet: shard {index} restart failed: {e}");
-                false
+                Restart::Down
             }
         }
     }
@@ -472,7 +443,8 @@ impl ShardSet {
     /// be paused and drained first), respawns it with `policy_path`, and
     /// records that path for future supervisor respawns. Unlike the
     /// supervisor path this is deliberate, so it resets crash-loop
-    /// accounting and does not count toward `fleet.shards.restarts`.
+    /// accounting and does not count toward `fleet.shards.restarts`; it is
+    /// the one way back for a quarantined shard.
     ///
     /// # Errors
     ///
@@ -510,12 +482,7 @@ impl ShardSet {
         shard.generation += 1;
         shard.health_failures = 0;
         shard.policy_path = policy_path;
-        shard.consecutive_respawns = 0;
-        shard.last_respawn = None;
-        shard.backoff_until = None;
-        // A deliberate operator-driven restart is the one path back into
-        // rotation for a quarantined shard.
-        shard.quarantined = false;
+        shard.crash_loop = CrashLoop::default();
         Ok(())
     }
 
@@ -577,6 +544,49 @@ mod tests {
         assert_eq!(quarantine_after_from_env(), QUARANTINE_AFTER_DEFAULT);
         // One crash must never retire a shard.
         const _: () = assert!(QUARANTINE_AFTER_DEFAULT > 1);
+    }
+
+    /// A shard that dies right after every respawn, respawned by a 500 ms
+    /// supervisor tick once each backoff ends: returns how long after the
+    /// first death it is quarantined under `budget`, if within 600 s.
+    fn quarantined_after(budget: u32) -> Option<Duration> {
+        let start = Instant::now();
+        let tick = Duration::from_millis(500);
+        let mut crash_loop = CrashLoop::default();
+        let mut now = start;
+        while now - start < Duration::from_secs(600) {
+            if crash_loop.streak_at(now) >= budget {
+                return Some(now - start);
+            }
+            crash_loop.respawned(now, 0);
+            let end = crash_loop.backoff_end.expect("armed");
+            // The first tick at or after the backoff's end.
+            while now < end {
+                now += tick;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn every_budget_up_to_the_default_quarantines_a_crash_looping_shard() {
+        for budget in 2..=QUARANTINE_AFTER_DEFAULT {
+            let after = quarantined_after(budget)
+                .unwrap_or_else(|| panic!("budget {budget} never quarantines"));
+            assert!(
+                after < Duration::from_secs(120),
+                "budget {budget}: {after:?}"
+            );
+        }
+        // The streak survives a backoff longer than the window...
+        assert!(respawn_backoff(QUARANTINE_AFTER_DEFAULT - 1, 0) > RESPAWN_WINDOW);
+        // ...and resets once the shard stays up past it.
+        let start = Instant::now();
+        let mut crash_loop = CrashLoop::default();
+        crash_loop.respawned(start, 0);
+        crash_loop.respawned(start + Duration::from_secs(1), 0);
+        assert_eq!(crash_loop.streak, 2);
+        assert_eq!(crash_loop.streak_at(start + Duration::from_secs(60)), 1);
     }
 
     #[test]

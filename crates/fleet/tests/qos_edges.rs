@@ -2,7 +2,9 @@
 //! shards): quota release when a disconnected client's job settles,
 //! `Retry-After` under simultaneous class-cap and quota exhaustion (the
 //! 429 wins), interactive starvation-freedom under a saturating batch
-//! backlog, and a paused shard's work running on the other shard.
+//! backlog, a paused shard's work running on the other shard, whole-job
+//! admission, a cancelled job's stream ending at once, and the retention
+//! cap on settled jobs.
 
 use baryon_bench::spec::{GridSpec, JobSpec, RunSpec};
 use baryon_fleet::harness::GateFleet;
@@ -11,7 +13,7 @@ use baryon_sim::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boots a fleet of one-worker shards, each the `fleet_gate` binary in
 /// `--shard` mode.
@@ -338,5 +340,155 @@ fn a_paused_shards_work_runs_on_the_other_shard() {
     // them one after the other.
     h.await_identical(id, &golden, "grid beside a paused shard")
         .expect("the grid gathers on shard 1");
+    h.controller().unpause_shard(0);
+}
+
+/// The fleet's `(interactive, batch)` queue depths.
+fn queue_depths(h: &GateFleet) -> (u64, u64) {
+    let depth = |class: &str| {
+        h.counter(&format!("fleet.queue.{class}_depth"))
+            .expect("metrics scrape")
+    };
+    (depth("interactive"), depth("batch"))
+}
+
+/// A 2-workload × `controllers`-controller grid of quick cells.
+fn grid_body(controllers: &[&str]) -> String {
+    JobSpec::Grid(GridSpec {
+        workloads: vec!["ycsb-a".into(), "pr.twi".into()],
+        controllers: controllers.iter().map(|c| (*c).to_owned()).collect(),
+        base: RunSpec {
+            insts: 20_000,
+            warmup: 2_000,
+            scale: 2048,
+            seed: 3,
+            ..RunSpec::default()
+        },
+    })
+    .to_json()
+    .render()
+}
+
+#[test]
+fn a_job_is_admitted_whole_or_refused_without_touching_the_queue() {
+    let h = boot("whole", 2, 6, 8);
+    for shard in 0..2 {
+        h.controller().pause_shard(shard);
+    }
+    let four = grid_body(&["simple", "baryon"]);
+    let id = h.submit(&four, "4-cell grid").expect("4 of 6 places");
+    assert_eq!(queue_depths(&h), (0, 4));
+    // Two places left: another 4-cell grid is refused whole and leaves no
+    // orphan cells behind.
+    let (status, headers, body) = raw_request(h.addr(), "POST", "/v1/jobs", &[], &four);
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("queue_full"), "{body}");
+    assert_eq!(header(&headers, "retry-after"), Some("5"), "batch hint");
+    assert_eq!(queue_depths(&h), (0, 4), "the refusal queued nothing");
+    // A grid with more cells than the class queue holds can never be
+    // admitted: a 400 naming the cap, not a 503 to retry forever.
+    let eight = grid_body(&["simple", "baryon", "dice", "unison"]);
+    let (status, headers, body) = raw_request(h.addr(), "POST", "/v1/jobs", &[], &eight);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("invalid_spec"), "{body}");
+    assert!(body.contains("capacity of 6"), "{body}");
+    assert_eq!(header(&headers, "retry-after"), None);
+    assert_eq!(queue_depths(&h), (0, 4));
+    for shard in 0..2 {
+        h.controller().unpause_shard(shard);
+    }
+    await_state(&h, id, "done");
+    assert_eq!(queue_depths(&h), (0, 0));
+}
+
+/// Opens the job's event stream and returns once the response head has
+/// arrived; the thread then reads until the `end` event and returns that
+/// line and when it came.
+fn watch_for_end(addr: SocketAddr, id: u64) -> std::thread::JoinHandle<(String, Instant)> {
+    let (opened, wait_open) = std::sync::mpsc::channel();
+    let watcher = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        write!(
+            writer,
+            "GET /v1/jobs/{id}/events HTTP/1.1\r\nHost: qos\r\nConnection: close\r\n\r\n"
+        )
+        .expect("write");
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("status line");
+        assert!(line.contains(" 200 "), "{line}");
+        while line.trim_end() != "" {
+            line.clear();
+            reader.read_line(&mut line).expect("header line");
+        }
+        opened.send(()).expect("test thread waits");
+        loop {
+            line.clear();
+            assert!(
+                reader.read_line(&mut line).expect("event line") > 0,
+                "stream closed"
+            );
+            if line.contains("\"event\":\"end\"") {
+                return (line.trim_end().to_owned(), Instant::now());
+            }
+        }
+    });
+    wait_open.recv().expect("the stream opened");
+    watcher
+}
+
+#[test]
+fn a_cancelled_jobs_stream_ends_at_once() {
+    let h = boot("cancel-stream", 1, 16, 4);
+    h.controller().pause_shard(0);
+    let id = h.submit(RUN, "single").expect("admitted");
+    let watcher = watch_for_end(h.addr(), id);
+    // Let the stream park on the progress board.
+    std::thread::sleep(Duration::from_millis(100));
+    let cancelled = Instant::now();
+    let doc = h
+        .request("POST", &format!("/v1/jobs/{id}/cancel"), None, 200)
+        .expect("cancel");
+    assert_eq!(doc.get("state").and_then(Json::as_str), Some("cancelled"));
+    let (end, at) = watcher.join().expect("watcher");
+    assert!(end.contains("\"state\":\"cancelled\""), "{end}");
+    let late = at.duration_since(cancelled);
+    assert!(
+        late < Duration::from_millis(200),
+        "the end came {late:?} after the cancel"
+    );
+    h.controller().unpause_shard(0);
+}
+
+#[test]
+fn the_oldest_settled_job_is_evicted_past_256() {
+    let h = boot("retention", 1, 16, 4);
+    let first = h.submit(RUN, "first").expect("admitted");
+    await_state(&h, first, "done");
+    // 256 more settle as cancellations: the shard is paused, so each
+    // cancel reaches a queued job.
+    h.controller().pause_shard(0);
+    let mut ids = Vec::new();
+    for _ in 0..256 {
+        let id = h.submit(RUN, "filler").expect("admitted");
+        h.request("POST", &format!("/v1/jobs/{id}/cancel"), None, 200)
+            .expect("cancel");
+        ids.push(id);
+    }
+    let (status, _, body) = raw_request(h.addr(), "GET", &format!("/v1/jobs/{first}"), &[], "");
+    assert_eq!(status, 404, "the oldest settled job is evicted: {body}");
+    let (status, _, body) = raw_request(
+        h.addr(),
+        "GET",
+        &format!("/v1/jobs/{first}/events"),
+        &[],
+        "",
+    );
+    assert_eq!(status, 404, "{body}");
+    await_state(&h, ids[0], "cancelled");
     h.controller().unpause_shard(0);
 }

@@ -32,6 +32,18 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# Fleet-core property gate: the coordinator's dispatch state machine
+# (crates/fleet/src/fleet_core.rs) driven through 1024 arbitrary
+# interleavings of admissions, cancels, pauses, quarantines, rollouts and
+# a fake shard that settles, fails, loses, dies and finishes under a
+# staged generation. Every admitted job must settle exactly once with the
+# in-order gather of its cells, no rolled-back result may be gathered,
+# queue depths, quotas and in-flight counts must stay exact, and no cell
+# may reach a paused or quarantined shard. `cargo test` above runs the
+# same suite at the default case count.
+echo "==> fleet-core property gate (1024 interleavings)"
+BARYON_PROP_CASES=1024 cargo test -q -p baryon-fleet --release --offline --test fleet_core_props
+
 # Crash-recovery gate: SIGKILL a serving process mid-run (after its job
 # has written a checkpoint into the journal directory), restart a server
 # on the same journal, and require the recovered job to finish with the
