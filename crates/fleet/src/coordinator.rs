@@ -19,7 +19,7 @@
 //! shard's slots hand their cells back to the queue and pull no more.
 
 use crate::config::{CommitError, RollbackError, Slot, SlotMachine, StageError};
-use crate::fleet_core::{CellState, Class, FleetCore, FleetJob, Publish, Refusal, Work, WorkItem};
+use crate::fleet_core::{CellState, Class, FleetCore, FleetJob, Refusal, Work, WorkItem};
 use crate::shard::{ShardLauncher, ShardSet};
 use baryon_bench::spec::JobSpec;
 use baryon_compress::crc::crc32;
@@ -27,13 +27,13 @@ use baryon_core::checkpoint::atomic_write;
 use baryon_core::policy::FleetPolicy;
 use baryon_serve::client::{Client, ClientError, ClientResponse};
 use baryon_serve::error::ErrorCode;
-use baryon_serve::http::{read_request, ChunkedWriter, Request, Response, CRC_HEADER};
-use baryon_serve::job::CancelOutcome;
-use baryon_serve::progress::{end_stream, events_target, send_event, EventCursor, ProgressBoard};
+use baryon_serve::http::{serve_connection, ChunkedWriter, Request, Response, CRC_HEADER};
+use baryon_serve::progress::{end_stream, send_event, EventCursor};
+use baryon_serve::serve_core::CancelOutcome;
 use baryon_sim::json::{self, Json};
 use baryon_sim::telemetry::Registry;
 use baryon_sim::wire;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
@@ -112,10 +112,9 @@ struct FleetShared {
     core: Mutex<FleetCore>,
     /// Notified after every core update: slots wait on it for a cell, a
     /// rolling restart for its shard to drain, the supervisor for
-    /// shutdown.
+    /// shutdown, event streams for progress.
     changed: Condvar,
     shards: ShardSet,
-    progress: ProgressBoard,
     addr: SocketAddr,
     /// The A/B config slot machine (persisted under `config_dir`).
     config: Mutex<SlotMachine>,
@@ -144,7 +143,6 @@ impl FleetShared {
             )),
             changed: Condvar::new(),
             shards,
-            progress: ProgressBoard::new(),
             addr,
             config: Mutex::new(config),
             config_dir,
@@ -164,22 +162,18 @@ impl FleetShared {
         out
     }
 
-    /// Publishes what a core update owes the progress board. It runs after
-    /// the core lock is released: the job's end is then visible to a
-    /// stream's `ended` check before the publish that wakes it.
-    fn publish(&self, updates: impl IntoIterator<Item = Publish>) {
-        for update in updates {
-            self.progress.publish(update.job, |jp| {
-                jp.phase = if update.settled { "done" } else { "measure" };
-                // Slots land concurrently: a stale count never goes back.
-                jp.cells_done = update.cells_done.max(jp.cells_done);
-                jp.cells_total = update.cells_total;
-                jp.ops = update.cells_done.max(jp.ops);
-            });
-            if let Some(evicted) = update.evicted {
-                self.progress.remove(evicted);
-            }
-        }
+    /// Blocks up to `timeout` until job `id`'s progress moves past `seq`
+    /// or the job settles (or is evicted); says whether it did.
+    fn wait_past(&self, id: u64, seq: u64, timeout: Duration) -> bool {
+        let (_core, waited) = self
+            .changed
+            .wait_timeout_while(self.core(), timeout, |core| {
+                core.job(id).is_some_and(|job| {
+                    !job.state.is_settled() && job.progress.as_ref().map_or(0, |p| p.seq) <= seq
+                })
+            })
+            .expect("fleet core lock poisoned");
+        !waited.timed_out()
     }
 
     /// Blocks until the core hands shard `shard` a cell; `None` once the
@@ -374,7 +368,14 @@ impl Fleet {
                 continue;
             };
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(stream, &shared));
+            std::thread::spawn(move || {
+                serve_connection(
+                    stream,
+                    |request| route(&shared, request),
+                    |id, writer| stream_fleet_events(&shared, id, writer),
+                    || shared.core().is_closed(),
+                );
+            });
         }
         for slot in self.slots {
             let _ = slot.join();
@@ -535,14 +536,10 @@ fn settled(record: &Json) -> Option<Result<Json, String>> {
 /// replays it until an operator rolls the shard back in), hands the cell
 /// back; so does a slot letting go at shutdown.
 fn land(shared: &FleetShared, shard: usize, item: WorkItem, followed: Followed) {
-    let publish = shared.update(|core| match followed {
+    shared.update(|core| match followed {
         Followed::Settled(outcome) => core.settled(shard, item, outcome),
-        Followed::Lost | Followed::Quarantined | Followed::TimedOut => {
-            core.lost(shard, item);
-            None
-        }
+        Followed::Lost | Followed::Quarantined | Followed::TimedOut => core.lost(shard, item),
     });
-    shared.publish(publish);
 }
 
 /// The supervisor: a health sweep every [`SUPERVISE_EVERY`] over the
@@ -561,41 +558,6 @@ fn supervisor_loop(shared: &FleetShared) {
             .wait_timeout_while(shared.core(), SUPERVISE_EVERY, |core| !core.is_closed())
             .expect("fleet core lock poisoned");
         if core.is_closed() {
-            return;
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &FleetShared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = Response::error(400, ErrorCode::BadRequest, &e.to_string())
-                    .write_to(&mut writer, true);
-                return;
-            }
-            Err(_) => return,
-        };
-        if let Some(id) = events_target(&request) {
-            if shared.core().job(id).is_some() {
-                let _ = stream_fleet_events(shared, id, &mut writer);
-            } else {
-                let _ = Response::error(404, ErrorCode::NotFound, "no such job")
-                    .write_to(&mut writer, true);
-            }
-            return;
-        }
-        let response = route(shared, &request);
-        let close = !request.keep_alive() || shared.core().is_closed();
-        if response.write_to(&mut writer, close).is_err() || close {
             return;
         }
     }
@@ -663,27 +625,21 @@ fn job_route(shared: &FleetShared, method: &str, rest: &str) -> Response {
                 None => Response::error(404, ErrorCode::NotFound, "no such job"),
             }
         }
-        ("POST", Some("cancel")) => {
-            let cancelled = shared.update(|core| core.cancel(id));
-            match cancelled {
-                Ok(publish) => {
-                    shared.publish([publish]);
-                    Response::json(
-                        200,
-                        &Json::obj([("id", Json::from(id)), ("state", Json::from("cancelled"))]),
-                    )
-                }
-                Err(CancelOutcome::TooLate(state)) => Response::error(
-                    409,
-                    ErrorCode::Conflict,
-                    &format!(
-                        "job is {}, only queued jobs can be cancelled",
-                        state.as_str()
-                    ),
+        ("POST", Some("cancel")) => match shared.update(|core| core.cancel(id)) {
+            Ok(()) => Response::json(
+                200,
+                &Json::obj([("id", Json::from(id)), ("state", Json::from("cancelled"))]),
+            ),
+            Err(CancelOutcome::TooLate(state)) => Response::error(
+                409,
+                ErrorCode::Conflict,
+                &format!(
+                    "job is {}, only queued jobs can be cancelled",
+                    state.as_str()
                 ),
-                Err(_) => Response::error(404, ErrorCode::NotFound, "no such job"),
-            }
-        }
+            ),
+            Err(_) => Response::error(404, ErrorCode::NotFound, "no such job"),
+        },
         (_, None) => Response::error(405, ErrorCode::MethodNotAllowed, "method not allowed"),
         _ => Response::error(404, ErrorCode::NotFound, "no such endpoint"),
     }
@@ -907,8 +863,7 @@ fn admin_commit(shared: &FleetShared) -> Response {
     // about to be rolled back.
     shared.update(FleetCore::begin_roll);
     let rolled = roll_fleet(shared, new_path, old_path);
-    let publish = shared.update(|core| core.end_roll(rolled.is_ok()));
-    shared.publish(publish);
+    shared.update(|core| core.end_roll(rolled.is_ok()));
     match rolled {
         Ok(()) => {
             let mut machine = shared.config.lock().expect("config lock poisoned");
@@ -1203,57 +1158,51 @@ fn shutdown(shared: &FleetShared) -> Response {
     )
 }
 
-/// Streams a fleet job's events. A grid synthesizes `progress` from the
-/// coordinator's cell bookkeeping; a posted single run proxies the
-/// shard it was posted to ([`FleetJob::stream_target`]) with the
-/// shard-local ID rewritten to the fleet ID (and a monotonicity filter so
-/// a shard restart's replayed early events never reach the client out of
-/// order).
+/// Streams a fleet job's events. A grid's `progress` is the core's cell
+/// bookkeeping; a posted single run proxies the shard it was posted to
+/// ([`FleetJob::stream_target`]) with the shard-local ID rewritten to the
+/// fleet ID (and a monotonicity filter so a shard restart's replayed early
+/// events never reach the client out of order). An unknown job is a `404`.
 fn stream_fleet_events(shared: &FleetShared, id: u64, writer: &mut TcpStream) -> io::Result<()> {
+    if shared.core().job(id).is_none() {
+        return Response::error(404, ErrorCode::NotFound, "no such job").write_to(writer, true);
+    }
     let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
     let mut cursor = EventCursor::new(id);
     let mut last_ops = 0;
-    // The core settles a job before its settle publish, so a settle
-    // landing just before a wait still wakes it.
-    let ended = || {
-        shared
-            .core()
-            .job(id)
-            .is_none_or(|job| job.state.is_settled())
-    };
     loop {
-        let Some((state, target)) = shared
+        let Some((state, target, progress)) = shared
             .core()
             .job(id)
-            .map(|job| (job.state, job.stream_target()))
+            .map(|job| (job.state, job.stream_target(), job.progress.clone()))
         else {
             return end_stream(stream, id, "evicted");
         };
         if state.is_settled() {
             return end_stream(stream, id, state.as_str());
         }
-        // A posted single run proxies the shard's stream directly — live
-        // simulator progress.
-        if let Some((shard, remote)) = target {
-            proxy_single_stream(shared, id, shard, remote, &mut stream, &mut last_ops)?;
-            // The shard's stream ended (job settled there, or the shard
-            // died mid-run). The slot following the cell lands the result
-            // and its settle wakes this wait; otherwise the loop re-opens
-            // the restarted shard's resumed job.
-            cursor.wait(&shared.progress, &mut stream, ended)?;
-            continue;
+        match target {
+            // A posted single run proxies the shard's stream directly —
+            // live simulator progress. When the shard's stream ends (job
+            // settled there, or the shard died mid-run), the slot following
+            // the cell lands the result and its settle ends the wait below;
+            // otherwise the loop re-opens the restarted shard's resumed job.
+            Some((shard, remote)) => {
+                proxy_single_stream(shared, id, shard, remote, &mut stream, &mut last_ops)?;
+            }
+            None => cursor.send_progress(progress.as_ref(), &mut stream)?,
         }
-        // Queued singles and grids watch the coordinator's own board.
-        cursor.send_progress(&shared.progress, &mut stream)?;
-        cursor.wait(&shared.progress, &mut stream, ended)?;
+        cursor.wait(&mut stream, |seq, timeout| {
+            shared.wait_past(id, seq, timeout)
+        })?;
     }
 }
 
 /// Follows one shard-local event stream, forwarding `progress` and
 /// `alive` events with the ID rewritten to the fleet ID. The shard's own
-/// `end` event is swallowed — the fleet-level end comes from the board
-/// once the slot following the cell lands the result. Returns when the shard stream closes
-/// or errors (the caller re-checks the board and reconnects).
+/// `end` event is swallowed — the fleet-level end comes from the core once
+/// the slot following the cell lands the result. Returns when the shard
+/// stream closes or errors (the caller re-checks the core and reconnects).
 fn proxy_single_stream(
     shared: &FleetShared,
     fleet_id: u64,

@@ -27,15 +27,17 @@
 //!   interactive cells first, and each class has its own bounded queue, so
 //!   a full batch backlog never delays or refuses interactive work.
 //!
-//! Every settle — done, failed, cancelled, and a rollout's staged results
-//! either way — goes through one path, which releases the quota, drops
-//! the job's queued cells and cell documents, keeps at most
-//! [`RETAINED_SETTLED`] settled jobs, and returns the [`Publish`] the
-//! coordinator owes the progress board.
+//! Each job carries its event streams' progress snapshot: a grid's moves
+//! as its cells land. Every settle — done, failed, cancelled, and a
+//! rollout's staged results either way — goes through one path, which
+//! counts the end, releases the quota, drops the job's queued cells, cell
+//! documents and progress snapshot, and keeps at most [`RETAINED_SETTLED`]
+//! settled jobs.
 
 use baryon_bench::spec::{JobSpec, RunSpec};
-use baryon_serve::job::{CancelOutcome, JobState};
-use baryon_sim::json::Json;
+use baryon_serve::progress::JobProgress;
+use baryon_serve::serve_core::{CancelOutcome, JobState};
+use baryon_sim::json::{self, Json};
 use std::collections::{HashMap, VecDeque};
 
 /// How many settled jobs the board keeps; the oldest beyond it are
@@ -154,12 +156,16 @@ pub struct FleetJob {
     pub class: Class,
     /// Lifecycle state, using the serve layer's wire names.
     pub state: JobState,
-    /// The gathered result document once `Done`.
-    pub result: Option<Json>,
+    /// The gathered result document once `Done`, kept rendered: a
+    /// retained job holds its JSON text, not a tree four times that size.
+    pub result: Option<String>,
     /// The failure reason once `Failed`.
     pub error: Option<String>,
     /// The job's cells, in [`JobSpec::cells`] order.
     pub cells: Vec<Cell>,
+    /// The latest progress snapshot of an open grid, once a cell landed;
+    /// `None` for singles and once the job settles.
+    pub progress: Option<JobProgress>,
 }
 
 impl FleetJob {
@@ -179,7 +185,8 @@ impl FleetJob {
             pairs.push(("cells_done".to_owned(), Json::from(self.cells_done())));
         }
         if let Some(result) = &self.result {
-            pairs.push(("result".to_owned(), result.clone()));
+            let doc = json::parse(result).expect("a stored result is rendered JSON");
+            pairs.push(("result".to_owned(), doc));
         }
         if let Some(error) = &self.error {
             pairs.push(("error".to_owned(), Json::from(error.as_str())));
@@ -202,8 +209,8 @@ impl FleetJob {
 
     /// The shard-local event stream a fleet event stream proxies, as
     /// `(shard, remote)`: a posted single run's, on the shard running it.
-    /// `None` for grids and unposted runs, whose streams are built from
-    /// the board.
+    /// `None` for grids and unposted runs, whose streams send the job's
+    /// own progress snapshot.
     pub fn stream_target(&self) -> Option<(usize, u64)> {
         match (&self.spec, &self.cells[..]) {
             (
@@ -276,23 +283,6 @@ pub enum Refusal {
         /// The free places in the class queue.
         room: usize,
     },
-}
-
-/// A progress-board update the coordinator owes after a core call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Publish {
-    /// The job whose snapshot moves.
-    pub job: u64,
-    /// Whether the job settled (phase `done`), rather than a grid cell
-    /// landing (phase `measure`).
-    pub settled: bool,
-    /// Cells done.
-    pub cells_done: u64,
-    /// Total cells.
-    pub cells_total: u64,
-    /// A settled job this settle pushed past [`RETAINED_SETTLED`]; its
-    /// snapshot goes with it.
-    pub evicted: Option<u64>,
 }
 
 /// How a job ends.
@@ -416,6 +406,7 @@ impl FleetCore {
                 result: None,
                 error: None,
                 cells,
+                progress: None,
             },
         );
         *self.quotas.entry(client.to_owned()).or_insert(0) += 1;
@@ -467,30 +458,26 @@ impl FleetCore {
     /// The shard-local job behind a cell of `shard` ended with `outcome`
     /// (or its POST was refused for good). The slot lets go of the cell.
     /// A result lands `Done`, or `Staged` during a rollout; an error fails
-    /// the job. Returns what to publish; nothing when the job had already
-    /// settled.
-    pub fn settled(
-        &mut self,
-        shard: usize,
-        item: WorkItem,
-        outcome: Result<Json, String>,
-    ) -> Option<Publish> {
+    /// the job. Nothing moves when the job had already settled.
+    pub fn settled(&mut self, shard: usize, item: WorkItem, outcome: Result<Json, String>) {
         self.release(shard);
         let rolling = self.rolling;
-        let cell = self.cell_held_by(shard, item)?;
+        let Some(cell) = self.cell_held_by(shard, item) else {
+            return;
+        };
         match outcome {
             Ok(doc) => {
                 cell.doc = Some(doc);
                 if rolling {
                     cell.state = CellState::Staged;
-                    return None;
+                    return;
                 }
                 cell.state = CellState::Done;
-                self.advance(item.job)
+                self.advance(item.job);
             }
             Err(e) => {
                 cell.state = CellState::Failed;
-                Some(self.settle(item.job, Ending::Failed(e)))
+                self.settle(item.job, Ending::Failed(e));
             }
         }
     }
@@ -519,10 +506,13 @@ impl FleetCore {
     ///
     /// [`CancelOutcome::TooLate`] for a running or settled job,
     /// [`CancelOutcome::NotFound`] for an unknown or evicted one.
-    pub fn cancel(&mut self, id: u64) -> Result<Publish, CancelOutcome> {
+    pub fn cancel(&mut self, id: u64) -> Result<(), CancelOutcome> {
         match self.jobs.get(&id).map(|job| job.state) {
             None => Err(CancelOutcome::NotFound),
-            Some(JobState::Queued) => Ok(self.settle(id, Ending::Cancelled)),
+            Some(JobState::Queued) => {
+                self.settle(id, Ending::Cancelled);
+                Ok(())
+            }
             Some(state) => Err(CancelOutcome::TooLate(state)),
         }
     }
@@ -552,9 +542,8 @@ impl FleetCore {
     /// The rollout ended. `accept` (it committed) lands every staged cell;
     /// otherwise their results, computed under a generation that never
     /// committed, are discarded and the cells requeued, so each job's
-    /// gather is computed wholly under the restored config. Returns what
-    /// to publish.
-    pub fn end_roll(&mut self, accept: bool) -> Vec<Publish> {
+    /// gather is computed wholly under the restored config.
+    pub fn end_roll(&mut self, accept: bool) {
         self.rolling = false;
         let mut staged: Vec<u64> = self
             .jobs
@@ -565,7 +554,6 @@ impl FleetCore {
             .collect();
         // Requeue in admission order, as the cells were first queued.
         staged.sort_unstable();
-        let mut publishes = Vec::new();
         for id in staged {
             let job = self.jobs.get_mut(&id).expect("an open job");
             let queue = &mut self.queues[job.class.index()];
@@ -583,10 +571,9 @@ impl FleetCore {
                 }
             }
             if accept {
-                publishes.extend(self.advance(id));
+                self.advance(id);
             }
         }
-        publishes
     }
 
     /// Counts a shard reply that failed its CRC frame.
@@ -678,35 +665,38 @@ impl FleetCore {
     }
 
     /// After a cell of open job `id` landed: gathers and settles the job
-    /// once every cell is done; otherwise publishes a grid's progress.
-    fn advance(&mut self, id: u64) -> Option<Publish> {
-        let job = self.jobs.get_mut(&id)?;
+    /// once every cell is done; otherwise moves a grid's progress.
+    fn advance(&mut self, id: u64) {
+        let job = self.jobs.get_mut(&id).expect("advancing an open job");
         if job.cells.iter().all(|c| c.state == CellState::Done) {
             let docs = job.cells.iter_mut().map(|c| c.doc.take()).collect();
             let ending = match job.spec.gather(docs) {
                 Ok(result) => Ending::Done(result),
                 Err(e) => Ending::Failed(e),
             };
-            return Some(self.settle(id, ending));
+            return self.settle(id, ending);
         }
-        matches!(job.spec, JobSpec::Grid(_)).then(|| Publish {
-            job: id,
-            settled: false,
-            cells_done: job.cells_done(),
-            cells_total: job.cells_total(),
-            evicted: None,
-        })
+        if let JobSpec::Grid(_) = job.spec {
+            let (done, total) = (job.cells_done(), job.cells_total());
+            let progress = job.progress.get_or_insert_with(JobProgress::default);
+            progress.phase = "measure";
+            progress.cells_done = done;
+            progress.cells_total = total;
+            progress.ops = done;
+            progress.seq += 1;
+        }
     }
 
     /// The one settle path: sets the job's end, counts it, releases its
-    /// client's quota, drops its queued cells and cell documents, and
-    /// evicts the oldest settled job beyond [`RETAINED_SETTLED`].
-    fn settle(&mut self, id: u64, ending: Ending) -> Publish {
+    /// client's quota, drops its queued cells, cell documents and progress
+    /// snapshot, and evicts the oldest settled job beyond
+    /// [`RETAINED_SETTLED`].
+    fn settle(&mut self, id: u64, ending: Ending) {
         let job = self.jobs.get_mut(&id).expect("settling an open job");
         match ending {
             Ending::Done(result) => {
                 job.state = JobState::Done;
-                job.result = Some(result);
+                job.result = Some(result.render());
                 self.counters.done += 1;
             }
             Ending::Failed(e) => {
@@ -722,13 +712,7 @@ impl FleetCore {
         for cell in &mut job.cells {
             cell.doc = None;
         }
-        let publish = Publish {
-            job: id,
-            settled: true,
-            cells_done: job.cells_done(),
-            cells_total: job.cells_total(),
-            evicted: None,
-        };
+        job.progress = None;
         let class = job.class;
         if let Some(held) = self.quotas.get_mut(&job.client) {
             *held -= 1;
@@ -738,13 +722,10 @@ impl FleetCore {
         }
         self.queues[class.index()].retain(|item| item.job != id);
         self.settled.push_back(id);
-        let evicted = (self.settled.len() > RETAINED_SETTLED)
-            .then(|| self.settled.pop_front())
-            .flatten();
-        if let Some(old) = evicted {
+        if self.settled.len() > RETAINED_SETTLED {
+            let old = self.settled.pop_front().expect("over the cap");
             self.jobs.remove(&old);
         }
-        Publish { evicted, ..publish }
     }
 }
 
@@ -771,9 +752,10 @@ mod tests {
     }
 
     /// Pulls the next cell on shard 0 and lands `doc` for it.
-    fn land(core: &mut FleetCore, doc: Json) -> (WorkItem, Option<Publish>) {
+    fn land(core: &mut FleetCore, doc: Json) -> WorkItem {
         let work = core.next_cell(0).expect("a queued cell");
-        (work.item, core.settled(0, work.item, Ok(doc)))
+        core.settled(0, work.item, Ok(doc));
+        work.item
     }
 
     #[test]
@@ -802,20 +784,11 @@ mod tests {
         assert_eq!(core.job(id).and_then(FleetJob::stream_target), Some((0, 7)));
 
         let doc = Json::obj([("ok", Json::Bool(true))]);
-        let publish = core.settled(0, work.item, Ok(doc.clone()));
-        assert_eq!(
-            publish,
-            Some(Publish {
-                job: id,
-                settled: true,
-                cells_done: 1,
-                cells_total: 1,
-                evicted: None,
-            })
-        );
+        core.settled(0, work.item, Ok(doc.clone()));
         let job = core.job(id).expect("retained");
         assert_eq!(job.state, JobState::Done);
-        assert_eq!(job.result.as_ref(), Some(&doc));
+        assert_eq!(job.result, Some(doc.render()));
+        assert_eq!(job.progress, None, "a single publishes no progress");
         assert!(
             job.cells.iter().all(|c| c.doc.is_none()),
             "cell docs dropped"
@@ -825,7 +798,8 @@ mod tests {
         assert_eq!(core.counters().done, 1);
 
         // A late delivery cannot reopen or re-count it.
-        assert_eq!(core.settled(0, work.item, Err("late".into())), None);
+        core.settled(0, work.item, Err("late".into()));
+        assert_eq!(core.job(id).map(|j| j.state), Some(JobState::Done));
         assert_eq!(core.counters().failed, 0);
     }
 
@@ -837,19 +811,28 @@ mod tests {
             .expect("room");
         let first = core.next_cell(0).expect("cell 0");
         let second = core.next_cell(0).expect("cell 1");
-        // Cell 1 lands first; the grid publishes progress, not a settle.
-        let publish = core.settled(0, second.item, Ok(Json::from(1u64)));
-        assert_eq!(publish.map(|p| (p.settled, p.cells_done)), Some((false, 1)));
-        let doc = core.job(id).expect("job").to_json().render();
+        // Cell 1 lands first; the grid's progress moves, it does not settle.
+        core.settled(0, second.item, Ok(Json::from(1u64)));
+        let job = core.job(id).expect("job");
+        assert_eq!(job.state, JobState::Running);
+        let progress = job.progress.clone().expect("a landed cell moves progress");
+        assert_eq!(
+            (
+                progress.seq,
+                progress.phase,
+                progress.cells_done,
+                progress.cells_total
+            ),
+            (1, "measure", 1, 2)
+        );
+        let doc = job.to_json().render();
         assert!(doc.contains("\"cells_total\":2"), "{doc}");
         assert!(doc.contains("\"cells_done\":1"), "{doc}");
-        let publish = core.settled(0, first.item, Ok(Json::from(0u64)));
-        assert_eq!(publish.map(|p| p.settled), Some(true));
+        core.settled(0, first.item, Ok(Json::from(0u64)));
         let job = core.job(id).expect("job");
-        assert_eq!(
-            job.result.as_ref().map(Json::render).as_deref(),
-            Some(r#"{"results":[0,1]}"#)
-        );
+        assert_eq!(job.state, JobState::Done);
+        assert_eq!(job.progress, None, "a settled job keeps no snapshot");
+        assert_eq!(job.result.as_deref(), Some(r#"{"results":[0,1]}"#));
 
         // A failing cell fails the grid at once and drops its queued cells.
         let id = core
@@ -873,24 +856,26 @@ mod tests {
             .expect("room");
         land(&mut core, Json::from(0u64));
         core.begin_roll();
-        let (_, publish) = land(&mut core, Json::from(1u64));
-        assert_eq!(publish, None, "a staged cell does not gather");
-        assert_eq!(core.job(id).map(|j| j.state), Some(JobState::Running));
-
-        // The roll commits: the staged result lands and the grid gathers.
-        let publishes = core.end_roll(true);
-        assert_eq!(publishes.iter().filter(|p| p.settled).count(), 1);
+        land(&mut core, Json::from(1u64));
         let job = core.job(id).expect("job");
         assert_eq!(
-            job.result.as_ref().map(Json::render).as_deref(),
-            Some(r#"{"results":[0,1]}"#)
+            job.state,
+            JobState::Running,
+            "a staged cell does not gather"
         );
+        assert_eq!(job.progress.as_ref().map(|p| p.cells_done), Some(1));
+
+        // The roll commits: the staged result lands and the grid gathers.
+        core.end_roll(true);
+        assert_eq!(core.counters().done, 1);
+        let job = core.job(id).expect("job");
+        assert_eq!(job.result.as_deref(), Some(r#"{"results":[0,1]}"#));
 
         // A rolled-back roll discards the staged result and requeues the cell.
         let id = core.admit(run(), "erin", Class::Interactive).expect("room");
         core.begin_roll();
         land(&mut core, Json::from(42u64));
-        assert!(core.end_roll(false).is_empty());
+        core.end_roll(false);
         assert_eq!(core.counters().quarantined_results, 1);
         assert_eq!(core.queue_depths(), (1, 0));
         let job = core.job(id).expect("job");
@@ -899,8 +884,8 @@ mod tests {
         assert_eq!(core.client_in_flight("erin"), 1, "the quota stays held");
         land(&mut core, Json::from(7u64));
         assert_eq!(
-            core.job(id).and_then(|j| j.result.clone()),
-            Some(Json::from(7u64))
+            core.job(id).and_then(|j| j.result.clone()).as_deref(),
+            Some("7")
         );
     }
 
@@ -909,8 +894,7 @@ mod tests {
         let mut core = FleetCore::new(1, 8, 4);
         assert_eq!(core.cancel(99), Err(CancelOutcome::NotFound));
         let id = core.admit(run(), "c", Class::Interactive).expect("room");
-        let publish = core.cancel(id).expect("queued");
-        assert!(publish.settled);
+        core.cancel(id).expect("queued");
         assert_eq!(core.job(id).map(|j| j.state), Some(JobState::Cancelled));
         assert_eq!(core.queue_depths(), (0, 0), "its cell left the queue");
         assert_eq!(core.client_in_flight("c"), 0);
@@ -1013,11 +997,11 @@ mod tests {
         let mut ids = Vec::new();
         for _ in 0..=RETAINED_SETTLED {
             let id = core.admit(run(), "r", Class::Interactive).expect("room");
-            let (_, publish) = land(&mut core, Json::Null);
-            let publish = publish.expect("settled");
-            let evicted = (ids.len() == RETAINED_SETTLED).then(|| ids[0]);
-            assert_eq!(publish.evicted, evicted);
+            land(&mut core, Json::Null);
+            assert_eq!(core.job(id).map(|j| j.state), Some(JobState::Done));
             ids.push(id);
+            // Only the settle past the cap evicts, and it evicts the oldest.
+            assert_eq!(core.job(ids[0]).is_none(), ids.len() > RETAINED_SETTLED);
         }
         assert!(core.job(ids[0]).is_none(), "the oldest settled job is gone");
         assert!(core.job(ids[1]).is_some());

@@ -7,10 +7,10 @@
 //! shrinks a failing interleaving to a short one.
 
 use baryon_bench::spec::{GridSpec, JobSpec, RunSpec};
-use baryon_fleet::fleet_core::{CellState, Class, FleetCore, Publish, Refusal, Work};
-use baryon_serve::job::JobState;
+use baryon_fleet::fleet_core::{CellState, Class, FleetCore, Refusal, Work};
+use baryon_serve::serve_core::JobState;
 use baryon_sim::check::{props, Gen};
-use baryon_sim::json::Json;
+use baryon_sim::json::{self, Json};
 use std::collections::{HashMap, HashSet};
 
 const SHARDS: usize = 3;
@@ -184,8 +184,8 @@ struct Model {
     rolled_back: HashSet<u64>,
     /// Every admitted job and its client.
     admitted: HashMap<u64, (JobSpec, usize)>,
-    /// Settle publishes per job.
-    settles: HashMap<u64, u32>,
+    /// How each settled job ended, as first seen: its state and result.
+    ends: HashMap<u64, (JobState, Option<String>)>,
     evicted: HashSet<u64>,
     /// The generations each cell's results were computed under.
     delivered: HashMap<(u64, usize), Vec<u64>>,
@@ -203,7 +203,7 @@ impl Model {
             next_generation: 1,
             rolled_back: HashSet::new(),
             admitted: HashMap::new(),
-            settles: HashMap::new(),
+            ends: HashMap::new(),
             evicted: HashSet::new(),
             delivered: HashMap::new(),
         }
@@ -213,27 +213,48 @@ impl Model {
         slot / SLOTS_PER_SHARD
     }
 
-    /// Records what the core asked to publish.
-    fn absorb(&mut self, publishes: impl IntoIterator<Item = Publish>) {
-        for publish in publishes {
-            assert!(
-                self.admitted.contains_key(&publish.job),
-                "publish for a job never admitted: {publish:?}"
-            );
-            if publish.settled {
-                let settles = self.settles.entry(publish.job).or_default();
-                *settles += 1;
-                assert_eq!(*settles, 1, "job {} settled twice", publish.job);
-            }
-            if let Some(evicted) = publish.evicted {
-                assert_eq!(
-                    self.settles.get(&evicted),
-                    Some(&1),
-                    "job {evicted} evicted before it settled"
-                );
-                assert!(self.evicted.insert(evicted), "job {evicted} evicted twice");
+    /// Records every job that settled since the last step, and checks
+    /// that a settled job never settles again: its state and result never
+    /// change, it is evicted only once settled, and never comes back.
+    fn observe(&mut self) {
+        let mut ids: Vec<u64> = self.admitted.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            match self.core.job(id) {
+                Some(job) => {
+                    assert!(
+                        !self.evicted.contains(&id),
+                        "evicted job {id} back on the board"
+                    );
+                    let end = (job.state, job.result.clone());
+                    if job.state.is_settled() {
+                        let first = self.ends.entry(id).or_insert_with(|| end.clone());
+                        assert_eq!(*first, end, "job {id} settled twice");
+                    } else {
+                        assert!(!self.ends.contains_key(&id), "job {id} reopened: {end:?}");
+                    }
+                }
+                None => {
+                    assert!(
+                        self.ends.contains_key(&id),
+                        "job {id} evicted before it settled"
+                    );
+                    self.evicted.insert(id);
+                }
             }
         }
+        // Each settle is counted once: the counters match the settled jobs.
+        let settled = |state| self.ends.values().filter(|(s, _)| *s == state).count() as u64;
+        let counters = self.core.counters();
+        assert_eq!(
+            (counters.done, counters.failed, counters.cancelled),
+            (
+                settled(JobState::Done),
+                settled(JobState::Failed),
+                settled(JobState::Cancelled)
+            ),
+            "settle counters vs settled jobs"
+        );
     }
 
     fn apply(&mut self, op: Op) {
@@ -325,19 +346,17 @@ impl Model {
                     .or_default()
                     .push(generation);
                 let result = doc(item.job, item.cell, &held.work.spec, generation);
-                let publish = self.core.settled(Self::shard_of(slot), item, Ok(result));
-                self.absorb(publish);
+                self.core.settled(Self::shard_of(slot), item, Ok(result));
             }
             Op::Fail { slot } => {
                 let Some(held) = self.slots[slot].take() else {
                     return;
                 };
-                let publish = self.core.settled(
+                self.core.settled(
                     Self::shard_of(slot),
                     held.work.item,
                     Err("shard job failed".into()),
                 );
-                self.absorb(publish);
             }
             Op::Lose { slot } => {
                 if let Some(held) = self.slots[slot].take() {
@@ -362,10 +381,7 @@ impl Model {
                 };
                 let before = self.core.job(id).map(|job| job.state);
                 match self.core.cancel(id) {
-                    Ok(publish) => {
-                        assert_eq!(before, Some(JobState::Queued));
-                        self.absorb([publish]);
-                    }
+                    Ok(()) => assert_eq!(before, Some(JobState::Queued)),
                     Err(_) => assert_ne!(before, Some(JobState::Queued)),
                 }
             }
@@ -405,36 +421,48 @@ impl Model {
         let Some(staged) = self.rolling_to.take() else {
             return;
         };
-        let publishes = self.core.end_roll(accept);
+        self.core.end_roll(accept);
         if accept {
             self.active = staged;
         } else {
             self.rolled_back.insert(staged);
         }
-        self.absorb(publishes);
     }
 
     /// The invariants that hold after every step.
-    fn check(&self) {
+    fn check(&mut self) {
+        self.observe();
         let mut pending = [0usize; 2];
         let mut open_per_client = [0usize; CLIENTS.len()];
         for job in self.core.jobs() {
             let (spec, client) = self.admitted.get(&job.id).expect("an admitted job");
             assert_eq!(&job.spec, spec);
-            assert_eq!(
-                job.state.is_settled(),
-                self.settles.get(&job.id) == Some(&1),
-                "job {} is {:?} but settled {:?} times",
-                job.id,
-                job.state,
-                self.settles.get(&job.id)
-            );
             if job.state.is_settled() {
+                assert_eq!(
+                    job.progress, None,
+                    "settled job {} keeps a snapshot",
+                    job.id
+                );
                 if job.state == JobState::Done {
-                    self.check_gather(job.id, spec, job.result.as_ref().expect("a result"));
+                    let result = json::parse(job.result.as_deref().expect("a result"))
+                        .expect("a rendered result");
+                    self.check_gather(job.id, spec, &result);
                 }
                 continue;
             }
+            // An open grid's snapshot counts its done cells once one landed;
+            // a single's streams proxy its shard.
+            let done = job.cells_done();
+            let expected = match job.spec {
+                JobSpec::Grid(_) => (done > 0).then_some((done, job.cells_total())),
+                JobSpec::Run(_) => None,
+            };
+            assert_eq!(
+                job.progress.as_ref().map(|p| (p.cells_done, p.cells_total)),
+                expected,
+                "progress of job {}",
+                job.id
+            );
             open_per_client[*client] += 1;
             let queued = job
                 .cells
@@ -542,7 +570,7 @@ impl Model {
     /// The invariants of an idle fleet.
     fn check_idle(&self) {
         for (id, (_, client)) in &self.admitted {
-            assert_eq!(self.settles.get(id), Some(&1), "job {id} never settled");
+            assert!(self.ends.contains_key(id), "job {id} never settled");
             assert_eq!(self.core.client_in_flight(CLIENTS[*client]), 0);
         }
         for shard in 0..SHARDS {

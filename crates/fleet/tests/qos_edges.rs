@@ -447,7 +447,7 @@ fn a_cancelled_jobs_stream_ends_at_once() {
     h.controller().pause_shard(0);
     let id = h.submit(RUN, "single").expect("admitted");
     let watcher = watch_for_end(h.addr(), id);
-    // Let the stream park on the progress board.
+    // Let the stream park in its wait for the job to move.
     std::thread::sleep(Duration::from_millis(100));
     let cancelled = Instant::now();
     let doc = h

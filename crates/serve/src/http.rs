@@ -10,7 +10,9 @@ use crate::error::{ApiError, ErrorCode};
 use baryon_compress::crc::crc32;
 use baryon_sim::faultfs;
 use baryon_sim::json::Json;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Longest accepted request line or header line, and the cap on total
 /// header bytes. Oversized requests are malformed by definition here.
@@ -195,7 +197,7 @@ impl Response {
     /// Propagates writer errors.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
         let crc = crc32(self.body.as_bytes());
-        let mut head = format!(
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n{CRC_HEADER}: {crc:08x}\r\n",
             self.status,
             reason(self.status),
@@ -203,21 +205,20 @@ impl Response {
             if close { "close" } else { "keep-alive" },
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.push_str(name);
+            out.push_str(": ");
+            out.push_str(value);
+            out.push_str("\r\n");
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        if faultfs::global().is_some() {
-            // The lying shard: flip a body byte after the CRC was stamped.
-            let mut body = self.body.clone().into_bytes();
-            let _ = faultfs::corrupt_response(&mut body);
-            w.write_all(&body)?;
-        } else {
-            w.write_all(self.body.as_bytes())?;
-        }
+        out.push_str("\r\n");
+        let head = out.len();
+        out.push_str(&self.body);
+        let mut out = out.into_bytes();
+        // The lying shard: flip a body byte after the CRC was stamped.
+        faultfs::corrupt_response(&mut out[head..]);
+        // One write: a second small write on a keep-alive socket would
+        // wait for the peer's delayed ACK.
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -225,9 +226,10 @@ impl Response {
 /// A `Transfer-Encoding: chunked` response body writer for endpoints whose
 /// length is unknown up front (streamed job events). Each [`chunk`] is one
 /// HTTP chunk, flushed immediately so the peer sees events as they happen;
-/// [`finish`] writes the zero-length terminator. The connection always
-/// closes after a streamed response — mixing a stream into keep-alive
-/// pipelining buys nothing over loopback and complicates the reader.
+/// [`finish`] writes the last one and the zero-length terminator. The
+/// connection always closes after a streamed response — mixing a stream
+/// into keep-alive pipelining buys nothing over loopback and complicates
+/// the reader.
 ///
 /// [`chunk`]: ChunkedWriter::chunk
 /// [`finish`]: ChunkedWriter::finish
@@ -262,8 +264,8 @@ impl<W: Write> ChunkedWriter<W> {
         Ok(ChunkedWriter { w })
     }
 
-    /// Writes one chunk and flushes it. Empty payloads are skipped — a
-    /// zero-length chunk would terminate the stream.
+    /// Writes one chunk and flushes it, in one write. Empty payloads are
+    /// skipped — a zero-length chunk would terminate the stream.
     ///
     /// # Errors
     ///
@@ -272,20 +274,96 @@ impl<W: Write> ChunkedWriter<W> {
         if payload.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", payload.len())?;
-        self.w.write_all(payload)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
+        self.send(payload, false)
     }
 
-    /// Writes the terminating zero-length chunk.
+    /// Writes `payload` (if any) as the last chunk and the terminating
+    /// zero-length chunk, in one write.
     ///
     /// # Errors
     ///
     /// Propagates writer errors.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
+    pub fn finish(mut self, payload: &[u8]) -> io::Result<()> {
+        self.send(payload, true)
+    }
+
+    /// Frames `payload` (if any) and, when `last`, the terminator into one
+    /// buffer, then writes and flushes it.
+    fn send(&mut self, payload: &[u8], last: bool) -> io::Result<()> {
+        let mut out = Vec::with_capacity(payload.len() + 16);
+        if !payload.is_empty() {
+            write!(out, "{:x}\r\n", payload.len())?;
+            out.extend_from_slice(payload);
+            out.extend_from_slice(b"\r\n");
+        }
+        if last {
+            out.extend_from_slice(b"0\r\n\r\n");
+        }
+        self.w.write_all(&out)?;
         self.w.flush()
+    }
+}
+
+/// `GET /v1/jobs/<id>/events` → the job ID; anything else → `None`.
+fn events_target(request: &Request) -> Option<u64> {
+    if request.method != "GET" {
+        return None;
+    }
+    let path = request
+        .path
+        .split_once('?')
+        .map_or(request.path.as_str(), |(p, _)| p);
+    path.strip_prefix("/v1/jobs/")?
+        .strip_suffix("/events")?
+        .parse()
+        .ok()
+}
+
+/// Serves one connection, for a serving process and a fleet coordinator
+/// alike: reads requests until the peer closes or idles 30 s, answers each
+/// with `route`, and hands an event-stream request
+/// (`GET /v1/jobs/<id>/events`) to `events`, which owns the rest of the
+/// connection. The connection closes after a response when the client
+/// asked or `closed()` holds; a malformed request gets a `400` and closes
+/// it.
+pub fn serve_connection(
+    stream: TcpStream,
+    mut route: impl FnMut(&Request) -> Response,
+    mut events: impl FnMut(u64, &mut TcpStream) -> io::Result<()>,
+    closed: impl Fn() -> bool,
+) {
+    // A parked keep-alive peer must not pin this thread forever.
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // Stream events go out as they happen, not behind the previous one's
+    // ACK.
+    let _ = stream.set_nodelay(true);
+    let mut writer = match stream.try_clone() {
+        Ok(w) => w,
+        Err(_) => return,
+    };
+    let mut reader = BufReader::new(stream);
+    loop {
+        let request = match read_request(&mut reader) {
+            Ok(Some(request)) => request,
+            Ok(None) => return, // peer closed between requests
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let _ = Response::error(400, ErrorCode::BadRequest, &e.to_string())
+                    .write_to(&mut writer, true);
+                return;
+            }
+            Err(_) => return, // timeout or reset
+        };
+        // Event streams take over the connection: chunked transfer until
+        // the job settles, then close.
+        if let Some(id) = events_target(&request) {
+            let _ = events(id, &mut writer);
+            return;
+        }
+        let response = route(&request);
+        let close = !request.keep_alive() || closed();
+        if response.write_to(&mut writer, close).is_err() || close {
+            return;
+        }
     }
 }
 
@@ -351,7 +429,6 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     fn parse(bytes: &[u8]) -> io::Result<Option<Request>> {
         read_request(&mut BufReader::new(bytes))
@@ -475,7 +552,7 @@ mod tests {
         cw.chunk(b"{\"event\":\"progress\"}\n").expect("chunk");
         cw.chunk(b"").expect("empty chunk skipped");
         cw.chunk(b"{\"event\":\"end\"}\n").expect("chunk");
-        cw.finish().expect("terminator");
+        cw.finish(b"").expect("terminator");
         let text = String::from_utf8(out.clone()).expect("ascii");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Transfer-Encoding: chunked\r\n"), "{text}");
@@ -526,5 +603,26 @@ mod tests {
         );
         assert_eq!(reason(404), "Not Found");
         assert_eq!(reason(599), "Unknown");
+    }
+
+    #[test]
+    fn events_target_takes_only_event_stream_gets() {
+        let request = |method: &str, path: &str| Request {
+            method: method.into(),
+            path: path.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        assert_eq!(
+            events_target(&request("GET", "/v1/jobs/12/events")),
+            Some(12)
+        );
+        assert_eq!(
+            events_target(&request("GET", "/v1/jobs/12/events?x=1")),
+            Some(12)
+        );
+        assert_eq!(events_target(&request("POST", "/v1/jobs/12/events")), None);
+        assert_eq!(events_target(&request("GET", "/v1/jobs/12")), None);
+        assert_eq!(events_target(&request("GET", "/v1/jobs/x/events")), None);
     }
 }

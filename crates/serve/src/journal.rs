@@ -62,8 +62,9 @@ pub enum JournalEvent {
         /// Result JSON (on success) or error message (on failure).
         body: String,
     },
-    /// The job was cancelled while queued (or its enqueue was refused
-    /// after the submit record was already durable).
+    /// The job was cancelled while queued. (Journals written before
+    /// admission reserved its queue place also record a refused enqueue
+    /// this way.)
     Cancel {
         /// The job's ID.
         id: u64,

@@ -9,6 +9,20 @@
 //! status and fetch `RunResult` JSON. The queue is bounded: when it fills,
 //! submissions get `503` + `Retry-After` instead of unbounded buffering.
 //!
+//! # Modules
+//!
+//! * [`serve_core`] — every job fact of the process as plain data
+//!   ([`serve_core::ServeCore`]: job records, the bounded FIFO, counters,
+//!   progress snapshots, retention), property-tested in
+//!   `tests/serve_core_props.rs`.
+//! * [`server`] — the shell around it: one `Mutex<ServeCore>` and one
+//!   `Condvar`, the accept loop, routes, workers and deadlines.
+//! * [`http`] — the HTTP/1.1 reader and writer, and the one connection
+//!   loop a shard and the fleet coordinator share.
+//! * [`journal`] — the write-ahead job journal and its replay.
+//! * [`progress`] — progress snapshots and the event-stream framing.
+//! * [`client`] and [`error`] — the typed client and the error envelope.
+//!
 //! # Endpoints
 //!
 //! | Method & path             | Purpose                                        |
@@ -56,11 +70,11 @@
 pub mod client;
 pub mod error;
 pub mod http;
-pub mod job;
 pub mod journal;
 pub mod progress;
-pub mod queue;
+pub mod serve_core;
 pub mod server;
 
 pub use error::{ApiError, ErrorCode};
-pub use server::{Metrics, ServeConfig, Server};
+pub use serve_core::Metrics;
+pub use server::{ServeConfig, Server};

@@ -1,22 +1,20 @@
-//! Live per-job progress shared between workers and event streams.
+//! Live per-job progress and the event-stream framing.
 //!
-//! Workers publish [`JobProgress`] snapshots into the [`ProgressBoard`] as
-//! their run advances (fed by the simulator's incremental `RunCursor`
-//! execution); each `GET /v1/jobs/<id>/events` stream blocks on the board
-//! and emits a chunk whenever the snapshot's sequence number moves. The
-//! board is observational only — publishing never perturbs a run, and a
-//! job with no subscribers pays one mutex lock per observation interval.
+//! Workers publish [`JobProgress`] snapshots into their job's record as
+//! the run advances (fed by the simulator's incremental `RunCursor`
+//! execution); each `GET /v1/jobs/<id>/events` stream waits on its
+//! process's one job-state condvar and emits a chunk whenever the
+//! snapshot's sequence number moves. Publishing is observational only — it
+//! never perturbs a run.
 //!
 //! The stream framing lives here too, shared by a serving process and a
 //! fleet coordinator: one JSON event object per line over chunked
 //! transfer encoding ([`send_event`]), driven by an [`EventCursor`]
 //! (`progress` events, `alive` heartbeats) and closed by [`end_stream`].
 
-use crate::http::{ChunkedWriter, Request};
+use crate::http::ChunkedWriter;
 use baryon_sim::json::Json;
-use std::collections::HashMap;
 use std::io::{self, Write};
-use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// One job's latest progress snapshot. For single runs the simulator
@@ -65,97 +63,6 @@ impl JobProgress {
     }
 }
 
-/// The shared progress table: job ID → latest snapshot, with a condvar so
-/// event streams can sleep until something moves.
-#[derive(Default)]
-pub struct ProgressBoard {
-    inner: Mutex<HashMap<u64, JobProgress>>,
-    moved: Condvar,
-}
-
-impl ProgressBoard {
-    /// Creates an empty board.
-    pub fn new() -> ProgressBoard {
-        ProgressBoard::default()
-    }
-
-    /// Publishes an update for `id`: `apply` mutates the job's snapshot
-    /// (created zeroed on first publish), the sequence number bumps, and
-    /// every waiting stream wakes.
-    pub fn publish(&self, id: u64, apply: impl FnOnce(&mut JobProgress)) {
-        let mut inner = self.inner.lock().expect("progress lock poisoned");
-        let entry = inner.entry(id).or_default();
-        apply(entry);
-        entry.seq += 1;
-        drop(inner);
-        self.moved.notify_all();
-    }
-
-    /// The latest snapshot for `id`, if the job has published anything.
-    pub fn get(&self, id: u64) -> Option<JobProgress> {
-        self.inner
-            .lock()
-            .expect("progress lock poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Blocks until `id` has a snapshot with `seq > after`, `ended()`
-    /// holds, or `timeout` elapses. Returns the newer snapshot, or `None`
-    /// on timeout or end (callers re-check job state and come back —
-    /// settled jobs stop publishing).
-    ///
-    /// `ended` is asked under the board lock, and a job's end must be
-    /// visible to it before the job's last [`ProgressBoard::publish`] or
-    /// [`ProgressBoard::remove`]: then an end that lands between a
-    /// caller's own state check and this wait still wakes it at once.
-    pub fn wait_past(
-        &self,
-        id: u64,
-        after: u64,
-        timeout: Duration,
-        ended: impl Fn() -> bool,
-    ) -> Option<JobProgress> {
-        let inner = self.inner.lock().expect("progress lock poisoned");
-        let (inner, timed_out) = self
-            .moved
-            .wait_timeout_while(inner, timeout, |map| {
-                map.get(&id).is_none_or(|p| p.seq <= after) && !ended()
-            })
-            .map(|(guard, result)| (guard, result.timed_out()))
-            .expect("progress lock poisoned");
-        if timed_out {
-            return None;
-        }
-        inner.get(&id).filter(|p| p.seq > after).cloned()
-    }
-
-    /// Drops a settled job's snapshot (its final state now lives in the
-    /// job table; keeping board entries for evicted jobs would leak).
-    pub fn remove(&self, id: u64) {
-        self.inner
-            .lock()
-            .expect("progress lock poisoned")
-            .remove(&id);
-        self.moved.notify_all();
-    }
-}
-
-/// `GET /v1/jobs/<id>/events` → the job ID; anything else → `None`.
-pub fn events_target(request: &Request) -> Option<u64> {
-    if request.method != "GET" {
-        return None;
-    }
-    let path = request
-        .path
-        .split_once('?')
-        .map_or(request.path.as_str(), |(p, _)| p);
-    path.strip_prefix("/v1/jobs/")?
-        .strip_suffix("/events")?
-        .parse()
-        .ok()
-}
-
 /// Sends one event object as a line of a chunked event stream.
 ///
 /// # Errors
@@ -173,16 +80,15 @@ pub fn send_event<W: Write>(stream: &mut ChunkedWriter<W>, event: &Json) -> io::
 /// # Errors
 ///
 /// The write failure (the streaming client hung up).
-pub fn end_stream<W: Write>(mut stream: ChunkedWriter<W>, id: u64, state: &str) -> io::Result<()> {
-    send_event(
-        &mut stream,
-        &Json::obj([
-            ("event", Json::from("end")),
-            ("id", Json::from(id)),
-            ("state", Json::from(state)),
-        ]),
-    )?;
-    stream.finish()
+pub fn end_stream<W: Write>(stream: ChunkedWriter<W>, id: u64, state: &str) -> io::Result<()> {
+    let end = Json::obj([
+        ("event", Json::from("end")),
+        ("id", Json::from(id)),
+        ("state", Json::from(state)),
+    ]);
+    let mut line = end.render();
+    line.push('\n');
+    stream.finish(line.as_bytes())
 }
 
 /// How many empty waits (500 ms each) between `alive` heartbeats on an
@@ -190,8 +96,11 @@ pub fn end_stream<W: Write>(mut stream: ChunkedWriter<W>, id: u64, state: &str) 
 /// when the job publishes nothing (e.g. still queued).
 const STREAM_HEARTBEAT_WAITS: u32 = 20;
 
-/// One event stream's position on a [`ProgressBoard`]: the last snapshot
-/// it sent and how long it has been idle.
+/// How long one [`EventCursor::wait`] waits for news.
+const STREAM_WAIT: Duration = Duration::from_millis(500);
+
+/// One event stream's position: the last snapshot it sent and how long it
+/// has been idle.
 pub struct EventCursor {
     id: u64,
     last_seq: u64,
@@ -216,10 +125,10 @@ impl EventCursor {
     /// The write failure (the streaming client hung up).
     pub fn send_progress<W: Write>(
         &mut self,
-        board: &ProgressBoard,
+        progress: Option<&JobProgress>,
         stream: &mut ChunkedWriter<W>,
     ) -> io::Result<()> {
-        match board.get(self.id) {
+        match progress {
             Some(p) if p.seq > self.last_seq => {
                 self.last_seq = p.seq;
                 self.idle_waits = 0;
@@ -229,23 +138,21 @@ impl EventCursor {
         }
     }
 
-    /// Waits up to 500 ms for the job's progress to move or for `ended()`
-    /// (see [`ProgressBoard::wait_past`]); after `STREAM_HEARTBEAT_WAITS`
-    /// empty waits in a row, sends an `alive` heartbeat.
+    /// Waits for news through `wait_past(seq, timeout)`, which blocks up
+    /// to `timeout` (500 ms) until the job's snapshot moves past `seq` (the
+    /// last one sent) or the job settles, and says whether it did. After
+    /// `STREAM_HEARTBEAT_WAITS` empty waits in a row, sends an `alive`
+    /// heartbeat.
     ///
     /// # Errors
     ///
     /// The write failure (the streaming client hung up).
     pub fn wait<W: Write>(
         &mut self,
-        board: &ProgressBoard,
         stream: &mut ChunkedWriter<W>,
-        ended: impl Fn() -> bool,
+        wait_past: impl FnOnce(u64, Duration) -> bool,
     ) -> io::Result<()> {
-        if board
-            .wait_past(self.id, self.last_seq, Duration::from_millis(500), ended)
-            .is_some()
-        {
+        if wait_past(self.last_seq, STREAM_WAIT) {
             return Ok(());
         }
         self.idle_waits += 1;
@@ -263,85 +170,6 @@ impl EventCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    #[test]
-    fn publish_bumps_seq_and_get_sees_it() {
-        let board = ProgressBoard::new();
-        assert_eq!(board.get(7), None);
-        board.publish(7, |p| {
-            p.phase = "warmup";
-            p.ops = 100;
-            p.cells_total = 1;
-        });
-        let p = board.get(7).expect("published");
-        assert_eq!(p.seq, 1);
-        assert_eq!(p.ops, 100);
-        board.publish(7, |p| p.ops = 200);
-        let p = board.get(7).expect("published");
-        assert_eq!(p.seq, 2);
-        assert_eq!(p.ops, 200);
-        board.remove(7);
-        assert_eq!(board.get(7), None);
-    }
-
-    #[test]
-    fn wait_past_times_out_without_updates() {
-        let board = ProgressBoard::new();
-        board.publish(1, |p| p.ops = 1);
-        assert!(board
-            .wait_past(1, 1, Duration::from_millis(10), || false)
-            .is_none());
-        // seq 1 already satisfies `after = 0` — returns immediately.
-        let p = board
-            .wait_past(1, 0, Duration::from_millis(10), || false)
-            .expect("already past");
-        assert_eq!(p.seq, 1);
-    }
-
-    #[test]
-    fn wait_past_wakes_on_publish() {
-        let board = Arc::new(ProgressBoard::new());
-        let waiter = Arc::clone(&board);
-        let handle =
-            std::thread::spawn(move || waiter.wait_past(9, 0, Duration::from_secs(5), || false));
-        std::thread::sleep(Duration::from_millis(20));
-        board.publish(9, |p| p.ops = 42);
-        let p = handle.join().expect("no panic").expect("woken");
-        assert_eq!(p.ops, 42);
-    }
-
-    #[test]
-    fn wait_past_ends_with_the_job_even_if_it_never_published() {
-        let board = Arc::new(ProgressBoard::new());
-        let ended = Arc::new(AtomicBool::new(false));
-        let (waiter, flag) = (Arc::clone(&board), Arc::clone(&ended));
-        let handle = std::thread::spawn(move || {
-            let started = Instant::now();
-            let seen =
-                waiter.wait_past(5, 0, Duration::from_secs(5), || flag.load(Ordering::SeqCst));
-            (seen, started.elapsed())
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        // A settle: the end becomes visible, then the board lets go.
-        ended.store(true, Ordering::SeqCst);
-        board.remove(5);
-        let (seen, waited) = handle.join().expect("no panic");
-        assert_eq!(seen, None);
-        assert!(waited < Duration::from_secs(1), "woke late: {waited:?}");
-        // An end that landed before the wait began returns at once, even
-        // if the job published and dropped a snapshot in between: only
-        // `ended` can tell the waiter.
-        let started = Instant::now();
-        assert_eq!(board.wait_past(6, 0, Duration::from_secs(5), || true), None);
-        assert!(started.elapsed() < Duration::from_secs(1));
-        // A job that has not ended keeps its waiter parked until timeout.
-        assert!(board
-            .wait_past(7, 0, Duration::from_millis(10), || false)
-            .is_none());
-    }
 
     #[test]
     fn progress_json_shape() {
@@ -367,27 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn events_target_takes_only_event_stream_gets() {
-        let request = |method: &str, path: &str| Request {
-            method: method.into(),
-            path: path.into(),
-            headers: Vec::new(),
-            body: Vec::new(),
-        };
-        assert_eq!(
-            events_target(&request("GET", "/v1/jobs/12/events")),
-            Some(12)
-        );
-        assert_eq!(
-            events_target(&request("GET", "/v1/jobs/12/events?x=1")),
-            Some(12)
-        );
-        assert_eq!(events_target(&request("POST", "/v1/jobs/12/events")), None);
-        assert_eq!(events_target(&request("GET", "/v1/jobs/12")), None);
-        assert_eq!(events_target(&request("GET", "/v1/jobs/x/events")), None);
-    }
-
-    #[test]
     fn stream_framing_is_one_json_line_per_chunk() {
         let mut out = Vec::new();
         let mut stream = ChunkedWriter::begin(&mut out, 200, &[]).expect("head");
@@ -399,6 +206,43 @@ mod tests {
             body,
             "12\r\n{\"event\":\"alive\"}\n\r\n\
              26\r\n{\"event\":\"end\",\"id\":3,\"state\":\"done\"}\n\r\n0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn a_cursor_sends_moved_snapshots_and_heartbeats_when_idle() {
+        let mut out = Vec::new();
+        let mut stream = ChunkedWriter::begin(&mut out, 200, &[]).expect("head");
+        let mut cursor = EventCursor::new(4);
+        let p = JobProgress {
+            seq: 2,
+            ..JobProgress::default()
+        };
+        cursor.send_progress(Some(&p), &mut stream).expect("sent");
+        cursor
+            .send_progress(Some(&p), &mut stream)
+            .expect("unmoved");
+        cursor
+            .send_progress(None, &mut stream)
+            .expect("nothing yet");
+        let mut asked = Vec::new();
+        for _ in 0..STREAM_HEARTBEAT_WAITS {
+            cursor
+                .wait(&mut stream, |seq, timeout| {
+                    asked.push((seq, timeout));
+                    false
+                })
+                .expect("idle wait");
+        }
+        // A wait that sees news sends nothing.
+        cursor.wait(&mut stream, |_, _| true).expect("news");
+        assert!(asked.iter().all(|&a| a == (2, STREAM_WAIT)), "{asked:?}");
+        let text = String::from_utf8(out).expect("utf-8");
+        assert_eq!(text.matches("\"event\":\"progress\"").count(), 1, "{text}");
+        assert_eq!(text.matches("\"event\":\"alive\"").count(), 1, "{text}");
+        assert!(
+            text.ends_with("{\"event\":\"alive\",\"id\":4}\n\r\n"),
+            "{text}"
         );
     }
 }

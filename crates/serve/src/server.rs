@@ -1,31 +1,30 @@
-//! The job server: accept loop, router, worker pool, metrics, shutdown.
+//! The job server: accept loop, router, worker pool, shutdown.
 //!
 //! One thread accepts connections and hands each to a short-lived handler
 //! thread; handlers parse requests and either answer immediately (status,
-//! metrics) or enqueue work. A fixed pool of worker threads drains the
-//! bounded queue and runs simulations via [`baryon_bench::spec::JobSpec`].
-//! Backpressure is explicit: a full queue answers `503` with
-//! `Retry-After`, never blocking the accept path.
+//! metrics) or admit work. A fixed pool of worker threads runs the queued
+//! jobs via [`baryon_bench::spec::JobSpec`]. Every job fact lives in one
+//! [`ServeCore`] under one `Mutex`, with one `Condvar` that every update
+//! notifies: workers wait on it for a job, event streams for progress,
+//! and a deadline watchdog for its job to stop running. Backpressure is
+//! explicit: a full queue answers `503` with `Retry-After`, never blocking
+//! the accept path.
 
 use crate::error::ErrorCode;
-use crate::http::{read_request, ChunkedWriter, Request, Response};
-use crate::job::{CancelOutcome, JobRecord, JobState, JobTable};
-use crate::journal::{recover, Journal, JournalEvent, RecoveredState};
-use crate::progress::{end_stream, events_target, EventCursor, ProgressBoard};
-use crate::queue::{BoundedQueue, PushError};
+use crate::http::{serve_connection, ChunkedWriter, Request, Response};
+use crate::journal::{recover, Journal, JournalEvent};
+use crate::progress::{end_stream, EventCursor};
+use crate::serve_core::{CancelOutcome, JobState, Outcome, Refusal, ServeCore};
 use baryon_bench::spec::{resume_from_with, JobSpec, RunSpec, CHECKPOINT_PREFIX};
 use baryon_core::checkpoint::Checkpoint;
 use baryon_core::policy::FleetPolicy;
-use baryon_sim::histogram::Histogram;
 use baryon_sim::json::{self, Json};
-use baryon_sim::telemetry::Registry;
 use baryon_sim::wire;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Server construction knobs (the CLI's `serve` flags).
@@ -90,104 +89,12 @@ fn checkpoint_every_from_env() -> u64 {
         .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
 }
 
-/// Serve-layer counters, exported uniformly through the unified
-/// [`baryon_sim::telemetry::Registry`] so grid/report tooling can consume
-/// them like any simulator component's counters.
-#[derive(Default)]
-pub struct Metrics {
-    requests: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    done: AtomicU64,
-    failed: AtomicU64,
-    timed_out: AtomicU64,
-    panicked: AtomicU64,
-    cancelled: AtomicU64,
-    recovered: AtomicU64,
-    runs_executed: AtomicU64,
-    ckpt_quarantined: AtomicU64,
-    busy: AtomicUsize,
-    latency_us: Mutex<Histogram>,
-}
-
-impl Metrics {
-    fn record_latency(&self, us: u64) {
-        self.latency_us
-            .lock()
-            .expect("latency lock poisoned")
-            .record(us);
-    }
-
-    /// Snapshots every counter and gauge into a telemetry [`Registry`]
-    /// under the `serve.` namespace. Job latency is published both as a
-    /// summary (`serve.job_latency_us`) and as the legacy flat counters
-    /// (`serve.job_latency.count` / `.p50_us` / `.p95_us`). `evicted` is
-    /// the job table's retention-eviction count (the table owns it, the
-    /// metrics document reports it).
-    pub fn to_registry(
-        &self,
-        queue_depth: usize,
-        workers: usize,
-        evicted: u64,
-        generation: u64,
-    ) -> Registry {
-        let mut reg = Registry::new();
-        reg.set_counter("serve.http.requests", self.requests.load(Ordering::Relaxed));
-        reg.set_counter("serve.policy.generation", generation);
-        reg.set_counter(
-            "serve.jobs.submitted",
-            self.submitted.load(Ordering::Relaxed),
-        );
-        reg.set_counter("serve.jobs.rejected", self.rejected.load(Ordering::Relaxed));
-        reg.set_counter("serve.jobs.evicted", evicted);
-        reg.set_counter(
-            "serve.jobs.recovered",
-            self.recovered.load(Ordering::Relaxed),
-        );
-        reg.set_counter("serve.jobs.done", self.done.load(Ordering::Relaxed));
-        reg.set_counter("serve.jobs.failed", self.failed.load(Ordering::Relaxed));
-        reg.set_counter(
-            "serve.jobs.timed_out",
-            self.timed_out.load(Ordering::Relaxed),
-        );
-        reg.set_counter("serve.jobs.panicked", self.panicked.load(Ordering::Relaxed));
-        reg.set_counter(
-            "serve.jobs.cancelled",
-            self.cancelled.load(Ordering::Relaxed),
-        );
-        reg.set_counter(
-            "serve.runs.executed",
-            self.runs_executed.load(Ordering::Relaxed),
-        );
-        reg.set_counter(
-            "serve.ckpt.quarantined",
-            self.ckpt_quarantined.load(Ordering::Relaxed),
-        );
-        reg.set_counter("serve.queue.depth", queue_depth as u64);
-        let busy = self.busy.load(Ordering::Relaxed);
-        reg.set_counter("serve.workers.total", workers as u64);
-        reg.set_counter("serve.workers.busy", busy as u64);
-        reg.set_gauge(
-            "serve.workers.utilization",
-            busy as f64 / workers.max(1) as f64,
-        );
-        let latency = self.latency_us.lock().expect("latency lock poisoned");
-        reg.set_counter("serve.job_latency.count", latency.count());
-        reg.set_counter("serve.job_latency.p50_us", latency.percentile(50.0));
-        reg.set_counter("serve.job_latency.p95_us", latency.percentile(95.0));
-        reg.set_gauge("serve.job_latency.mean_us", latency.mean());
-        reg.observe_histogram("serve.job_latency_us", &latency);
-        reg
-    }
-}
-
 /// State shared by the accept loop, connection handlers, and workers.
 struct Shared {
-    jobs: JobTable,
-    queue: BoundedQueue<u64>,
-    metrics: Metrics,
-    progress: ProgressBoard,
-    shutdown: AtomicBool,
+    /// Every job fact ([`ServeCore`]).
+    core: Mutex<ServeCore>,
+    /// Notified after every core update.
+    changed: Condvar,
     addr: SocketAddr,
     workers: usize,
     job_deadline: Option<Duration>,
@@ -198,20 +105,101 @@ struct Shared {
 }
 
 impl Shared {
+    /// Fresh server state for `cfg`, listening on `addr`, before recovery.
+    fn new(cfg: &ServeConfig, addr: SocketAddr) -> io::Result<Shared> {
+        let journal = match &cfg.journal_dir {
+            Some(dir) => Some(Journal::open(dir)?),
+            None => None,
+        };
+        // Policy serving limits take precedence over the direct config
+        // fields: the rollout distributes one document, not two.
+        let job_deadline = cfg
+            .policy
+            .as_ref()
+            .and_then(|p| p.job_deadline_ms)
+            .map(Duration::from_millis)
+            .or(cfg.job_deadline);
+        let checkpoint_every = cfg
+            .policy
+            .as_ref()
+            .and_then(|p| p.checkpoint_every)
+            .unwrap_or_else(checkpoint_every_from_env);
+        Ok(Shared {
+            core: Mutex::new(ServeCore::new(cfg.queue_depth, cfg.finished_cap)),
+            changed: Condvar::new(),
+            addr,
+            workers: cfg.workers,
+            job_deadline,
+            journal,
+            journal_dir: cfg.journal_dir.clone(),
+            checkpoint_every,
+            policy: cfg.policy.clone(),
+        })
+    }
+
     /// The fleet config generation this incarnation executes under.
     fn policy_generation(&self) -> u64 {
         self.policy.as_ref().map_or(0, |p| p.generation)
     }
-}
 
-/// Appends to the journal if one is configured. Append failures are
-/// reported but do not fail the request — the in-memory state is still
-/// correct for this incarnation; only crash durability degrades.
-fn journal_append(shared: &Shared, event: &JournalEvent) {
-    if let Some(journal) = &shared.journal {
-        if let Err(e) = journal.append(event) {
-            eprintln!("baryon-serve: journal append failed: {e}");
+    /// The core, for reads and for counters nobody waits on.
+    fn core(&self) -> MutexGuard<'_, ServeCore> {
+        self.core.lock().expect("serve core lock poisoned")
+    }
+
+    /// Runs one core update and wakes every waiter.
+    fn update<R>(&self, apply: impl FnOnce(&mut ServeCore) -> R) -> R {
+        let out = apply(&mut self.core());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Runs a core update that may settle a job, and journals the record
+    /// it returns once the lock is released.
+    fn settle(&self, apply: impl FnOnce(&mut ServeCore) -> Option<JournalEvent>) {
+        if let Some(event) = self.update(apply) {
+            self.journal(&event);
         }
+    }
+
+    /// Appends to the journal if one is configured. Append failures are
+    /// reported but do not fail the request — the in-memory state is still
+    /// correct for this incarnation; only crash durability degrades.
+    fn journal(&self, event: &JournalEvent) {
+        if let Some(journal) = &self.journal {
+            if let Err(e) = journal.append(event) {
+                eprintln!("baryon-serve: journal append failed: {e}");
+            }
+        }
+    }
+
+    /// Blocks until the core hands out a job; `None` once it is closed and
+    /// drained.
+    fn next_job(&self) -> Option<(u64, JobSpec)> {
+        let mut core = self.core();
+        loop {
+            if let Some(job) = core.next_job() {
+                return Some(job);
+            }
+            if core.is_drained() {
+                return None;
+            }
+            core = self.changed.wait(core).expect("serve core lock poisoned");
+        }
+    }
+
+    /// Blocks up to `timeout` until job `id`'s progress moves past `seq`
+    /// or the job settles (or is evicted); says whether it did.
+    fn wait_past(&self, id: u64, seq: u64, timeout: Duration) -> bool {
+        let (_core, waited) = self
+            .changed
+            .wait_timeout_while(self.core(), timeout, |core| {
+                core.job(id).is_some_and(|job| {
+                    !job.state.is_settled() && job.progress.as_ref().map_or(0, |p| p.seq) <= seq
+                })
+            })
+            .expect("serve core lock poisoned");
+        !waited.timed_out()
     }
 }
 
@@ -236,37 +224,7 @@ impl Server {
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
         assert!(cfg.workers > 0, "need at least one worker");
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, cfg.port))?;
-        let journal = match &cfg.journal_dir {
-            Some(dir) => Some(Journal::open(dir)?),
-            None => None,
-        };
-        // Policy serving limits take precedence over the direct config
-        // fields: the rollout distributes one document, not two.
-        let job_deadline = cfg
-            .policy
-            .as_ref()
-            .and_then(|p| p.job_deadline_ms)
-            .map(Duration::from_millis)
-            .or(cfg.job_deadline);
-        let checkpoint_every = cfg
-            .policy
-            .as_ref()
-            .and_then(|p| p.checkpoint_every)
-            .unwrap_or_else(checkpoint_every_from_env);
-        let shared = Arc::new(Shared {
-            jobs: JobTable::with_finished_cap(cfg.finished_cap),
-            queue: BoundedQueue::new(cfg.queue_depth),
-            metrics: Metrics::default(),
-            progress: ProgressBoard::new(),
-            shutdown: AtomicBool::new(false),
-            addr: listener.local_addr()?,
-            workers: cfg.workers,
-            job_deadline,
-            journal,
-            journal_dir: cfg.journal_dir.clone(),
-            checkpoint_every,
-            policy: cfg.policy.clone(),
-        });
+        let shared = Arc::new(Shared::new(&cfg, listener.local_addr()?)?);
         if let Some(dir) = &cfg.journal_dir {
             recover_from_journal(&shared, dir)?;
         }
@@ -274,12 +232,9 @@ impl Server {
         // journal distinguishes results across rollouts. Generation 0 is
         // the baseline and stays unmarked (byte-identical journals).
         if shared.policy_generation() > 0 {
-            journal_append(
-                &shared,
-                &JournalEvent::PolicyGeneration {
-                    generation: shared.policy_generation(),
-                },
-            );
+            shared.journal(&JournalEvent::PolicyGeneration {
+                generation: shared.policy_generation(),
+            });
         }
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -310,16 +265,29 @@ impl Server {
     /// room for fatal accept-loop errors.
     pub fn run(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shared.core().is_closed() {
                 break;
             }
             let Ok(stream) = stream else {
                 continue; // transient accept error
             };
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(stream, &shared));
+            std::thread::spawn(move || {
+                serve_connection(
+                    stream,
+                    |request| {
+                        shared.core().count_request();
+                        route(&shared, request)
+                    },
+                    |id, writer| {
+                        shared.core().count_request();
+                        stream_events(&shared, id, writer)
+                    },
+                    || shared.core().is_closed(),
+                );
+            });
         }
-        // Drain: workers exit once the (closed) queue is empty.
+        // Drain: workers exit once the closed core has nothing queued.
         for worker in self.workers {
             let _ = worker.join();
         }
@@ -327,117 +295,32 @@ impl Server {
     }
 }
 
-/// Boot-time recovery: replays the write-ahead journal and reconstructs
-/// the job table. Settled jobs come back with their journaled outcomes;
-/// never-started and interrupted jobs are re-enqueued (interrupted single
-/// runs will resume from their newest checkpoint when a worker picks them
-/// up). Runs before the worker pool spawns, so recovered work is queued
-/// ahead of anything newly submitted.
+/// Boot-time recovery: replays the write-ahead journal into the core.
+/// Settled jobs come back with their journaled outcomes; never-started and
+/// interrupted jobs are queued again, past the queue's capacity if need be
+/// (interrupted single runs resume from their newest checkpoint when a
+/// worker picks them up). Runs before the worker pool spawns, so recovered
+/// work is queued ahead of anything newly submitted.
 fn recover_from_journal(shared: &Shared, dir: &std::path::Path) -> io::Result<()> {
-    let events = Journal::replay(dir)?;
-    let (jobs, max_id) = recover(&events);
-    shared.jobs.floor_next_id(max_id);
+    // Every ID the journal issued belongs to a recovered job, and each
+    // recovery floors the ID counter above its own.
+    let (jobs, _) = recover(&Journal::replay(dir)?);
     for job in jobs {
         let spec = json::parse(&job.spec_json)
             .map_err(|e| e.to_string())
             .and_then(|doc| JobSpec::from_json(&doc));
-        let spec = match spec {
-            Ok(spec) => spec,
-            Err(e) => {
-                // A journaled spec that no longer parses (e.g. the
-                // workload registry changed under it) surfaces as a
-                // failed job instead of being dropped silently.
-                shared.jobs.install(JobRecord {
-                    id: job.id,
-                    state: JobState::Failed,
-                    spec: JobSpec::Run(baryon_bench::spec::RunSpec::default()),
-                    result: None,
-                    error: Some(format!("unrecoverable journaled spec: {e}")),
-                    wall_us: None,
-                });
-                continue;
-            }
-        };
-        match job.state {
-            RecoveredState::Queued | RecoveredState::Interrupted => {
-                shared.jobs.install(JobRecord {
-                    id: job.id,
-                    state: JobState::Queued,
-                    spec,
-                    result: None,
-                    error: None,
-                    wall_us: None,
-                });
-                if shared.queue.try_push(job.id).is_ok() {
-                    shared.metrics.recovered.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // The queue is smaller than the recovered backlog;
-                    // failing loudly beats stranding the job as `queued`
-                    // forever.
-                    let reason = "recovery: queue full, job not re-enqueued".to_owned();
-                    shared.jobs.start(job.id);
-                    shared.jobs.finish(job.id, Err(reason.clone()), 0);
-                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    journal_append(
-                        shared,
-                        &JournalEvent::Finish {
-                            id: job.id,
-                            ok: false,
-                            body: reason,
-                        },
-                    );
-                }
-            }
-            RecoveredState::Finished { ok, body } => {
-                let (state, result, error) = if ok {
-                    match json::parse(&body) {
-                        Ok(_) => (JobState::Done, Some(body), None),
-                        Err(e) => (
-                            JobState::Failed,
-                            None,
-                            Some(format!("unrecoverable journaled result: {e}")),
-                        ),
-                    }
-                } else {
-                    (JobState::Failed, None, Some(body))
-                };
-                shared.jobs.install(JobRecord {
-                    id: job.id,
-                    state,
-                    spec,
-                    result,
-                    error,
-                    wall_us: None,
-                });
-            }
-            RecoveredState::Cancelled => {
-                shared.jobs.install(JobRecord {
-                    id: job.id,
-                    state: JobState::Cancelled,
-                    spec,
-                    result: None,
-                    error: None,
-                    wall_us: None,
-                });
-            }
-        }
+        shared.settle(|core| core.recover(job.id, spec, job.state));
     }
     Ok(())
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(id) = shared.queue.pop() {
-        // `start` refuses jobs cancelled while queued.
-        let Some(spec) = shared.jobs.start(id) else {
-            continue;
-        };
-        journal_append(shared, &JournalEvent::Start { id });
-        shared.metrics.busy.fetch_add(1, Ordering::Relaxed);
+    while let Some((id, spec)) = shared.next_job() {
+        shared.journal(&JournalEvent::Start { id });
         match shared.job_deadline {
-            None => run_job(shared, id, spec),
+            None => run_job(shared, id, &spec),
             Some(deadline) => run_job_with_deadline(shared, id, spec, deadline),
         }
-        shared.metrics.busy.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -473,10 +356,7 @@ fn execute_run(shared: &Shared, id: u64, run: &RunSpec) -> Result<Json, String> 
         // (An unreadable directory falls straight through to a cold run.)
         while let Ok(scan) = Checkpoint::latest_valid_in(dir, CHECKPOINT_PREFIX) {
             if scan.quarantined > 0 {
-                shared
-                    .metrics
-                    .ckpt_quarantined
-                    .fetch_add(scan.quarantined, Ordering::Relaxed);
+                shared.core().count_quarantined(scan.quarantined);
             }
             let Some(path) = scan.newest_valid else {
                 break; // ladder exhausted → cold run
@@ -492,10 +372,7 @@ fn execute_run(shared: &Shared, id: u64, run: &RunSpec) -> Result<Json, String> 
                 // Framed correctly yet unresumable (or re-read under
                 // chaos): quarantine this rung too and descend.
                 Err(_) => {
-                    shared
-                        .metrics
-                        .ckpt_quarantined
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.core().count_quarantined(1);
                     let bad = path.with_file_name(format!(
                         "{}.bad",
                         path.file_name().and_then(|n| n.to_str()).unwrap_or("ckpt")
@@ -511,13 +388,15 @@ fn execute_run(shared: &Shared, id: u64, run: &RunSpec) -> Result<Json, String> 
         shared.checkpoint_every,
         ckpt_dir.as_deref().map(|dir| (dir, 2)),
         &mut |p| {
-            shared.progress.publish(id, |jp| {
-                jp.phase = p.phase.as_str();
-                jp.ops = p.ops;
-                jp.insts_done = p.insts_done;
-                jp.insts_target = p.insts_target;
-                jp.cycles = p.cycles;
-                jp.cells_total = 1;
+            shared.update(|core| {
+                core.publish(id, |jp| {
+                    jp.phase = p.phase.as_str();
+                    jp.ops = p.ops;
+                    jp.insts_done = p.insts_done;
+                    jp.insts_target = p.insts_target;
+                    jp.cycles = p.cycles;
+                    jp.cells_total = 1;
+                });
             });
         },
         shared.policy.as_ref(),
@@ -535,122 +414,73 @@ fn execute_run(shared: &Shared, id: u64, run: &RunSpec) -> Result<Json, String> 
 fn execute_grid(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Json, String> {
     let cells = spec.cells();
     let total = cells.len() as u64;
-    shared.progress.publish(id, |jp| {
-        jp.phase = "measure";
-        jp.cells_total = total;
+    shared.update(|core| {
+        core.publish(id, |jp| {
+            jp.phase = "measure";
+            jp.cells_total = total;
+        });
     });
     let mut results = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
         results.push(Some(cell.execute_with(shared.policy.as_ref())?.to_json()));
-        shared.progress.publish(id, |jp| {
-            jp.cells_done = i as u64 + 1;
-            jp.ops = i as u64 + 1;
+        shared.update(|core| {
+            core.publish(id, |jp| {
+                jp.cells_done = i as u64 + 1;
+                jp.ops = i as u64 + 1;
+            });
         });
     }
     spec.gather(results)
 }
 
-/// Executes `spec` and records the outcome. The guarded
-/// [`JobTable::finish`] decides whether this result lands — if a watchdog
-/// already failed the job, the late result is discarded and no completion
-/// metrics move (a job resolves exactly once).
-fn run_job(shared: &Shared, id: u64, spec: JobSpec) {
+/// Executes `spec` and settles the job with the outcome, unless its
+/// deadline already failed it (the late result is then discarded and no
+/// counter moves: a job settles exactly once).
+fn run_job(shared: &Shared, id: u64, spec: &JobSpec) {
     let t0 = Instant::now();
-    let (outcome, panicked) =
-        match panic::catch_unwind(AssertUnwindSafe(|| execute_spec(shared, id, &spec))) {
-            Ok(outcome) => (outcome, false),
-            Err(payload) => (Err(panic_message(payload.as_ref())), true),
-        };
-    let wall_us = t0.elapsed().as_micros() as u64;
-    if panicked {
-        shared.metrics.panicked.fetch_add(1, Ordering::Relaxed);
-    }
-    let succeeded = outcome.is_ok();
-    let body = match &outcome {
-        Ok(doc) => doc.render(),
-        Err(message) => message.clone(),
+    let outcome = match panic::catch_unwind(AssertUnwindSafe(|| execute_spec(shared, id, spec))) {
+        Ok(Ok(doc)) => Outcome::Done(doc.render()),
+        Ok(Err(error)) => Outcome::Failed(error),
+        Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
     };
-    if shared.jobs.finish(id, outcome, wall_us) {
-        journal_append(
-            shared,
-            &JournalEvent::Finish {
-                id,
-                ok: succeeded,
-                body,
-            },
-        );
-        shared.metrics.record_latency(wall_us);
-        if succeeded {
-            shared.metrics.done.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .runs_executed
-                .fetch_add(spec.runs() as u64, Ordering::Relaxed);
-        } else {
-            shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // The final state now lives in the job table; event streams emit
-    // their end record from there.
-    shared.progress.remove(id);
+    let wall_us = t0.elapsed().as_micros() as u64;
+    shared.settle(|core| core.finish(id, outcome, wall_us));
 }
 
-/// Runs `spec` on a watchdog-supervised runner thread. If the runner does
-/// not report back within `deadline`, the job is failed with a timeout
-/// reason and the worker returns to take the next queued job; the stuck
-/// runner is abandoned (it cannot be killed, but its eventual result is
-/// ignored by the guarded `finish` and the thread dies with the process).
+/// Runs `spec` on a runner thread while the worker waits, up to
+/// `deadline`, for the job to stop running. If it is still running then,
+/// the job settles failed with a timeout reason and the worker returns to
+/// take the next queued job; the stuck runner is abandoned (it cannot be
+/// killed, but its eventual result is refused by the core and the thread
+/// dies with the process).
 fn run_job_with_deadline(shared: &Arc<Shared>, id: u64, spec: JobSpec, deadline: Duration) {
-    let (done_tx, done_rx) = mpsc::channel::<()>();
     let runner_shared = Arc::clone(shared);
-    let runner = match std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name(format!("baryon-serve-job-{id}"))
-        .spawn(move || {
-            run_job(&runner_shared, id, spec);
-            let _ = done_tx.send(());
-        }) {
-        Ok(runner) => runner,
-        Err(e) => {
-            // Thread exhaustion must fail this job, not the whole worker.
-            if shared
-                .jobs
-                .finish(id, Err(format!("cannot spawn job runner thread: {e}")), 0)
-            {
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-    };
-    match done_rx.recv_timeout(deadline) {
-        Ok(()) => {
-            let _ = runner.join();
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            let wall_us = deadline.as_micros() as u64;
-            let reason = format!("deadline exceeded: still running after {deadline:?}");
-            if shared.jobs.finish(id, Err(reason), wall_us) {
-                shared.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.record_latency(wall_us);
-            } else {
-                // The runner slipped in right at the deadline; its result
-                // already landed, so this is not a timeout after all.
+        .spawn(move || run_job(&runner_shared, id, &spec));
+    let (outcome, wall_us) = match spawned {
+        Ok(runner) => {
+            let (core, waited) = shared
+                .changed
+                .wait_timeout_while(shared.core(), deadline, |core| {
+                    core.job(id).map(|job| job.state) == Some(JobState::Running)
+                })
+                .expect("serve core lock poisoned");
+            drop(core);
+            if !waited.timed_out() {
                 let _ = runner.join();
+                return;
             }
+            let reason = format!("deadline exceeded: still running after {deadline:?}");
+            (Outcome::TimedOut(reason), deadline.as_micros() as u64)
         }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // The runner died without reporting (e.g. a poisoned lock
-            // aborted it past the catch_unwind); surface that as a failure
-            // if nothing landed.
-            let _ = runner.join();
-            if shared
-                .jobs
-                .finish(id, Err("job runner died without a result".to_owned()), 0)
-            {
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+        // Thread exhaustion must fail this job, not the whole worker.
+        Err(e) => (
+            Outcome::Failed(format!("cannot spawn job runner thread: {e}")),
+            0,
+        ),
+    };
+    shared.settle(|core| core.finish(id, outcome, wall_us));
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -662,64 +492,31 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     format!("worker panicked: {detail}")
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    // A parked keep-alive peer must not pin this thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return, // peer closed between requests
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = Response::error(400, ErrorCode::BadRequest, &e.to_string())
-                    .write_to(&mut writer, true);
-                return;
-            }
-            Err(_) => return, // timeout or reset
-        };
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // Event streams take over the connection: chunked transfer until
-        // the job settles, then close.
-        if let Some(id) = events_target(&request) {
-            if shared.jobs.get(id).is_some() {
-                let _ = stream_events(shared, id, &mut writer);
-            } else {
-                let _ = Response::error(404, ErrorCode::NotFound, "no such job")
-                    .write_to(&mut writer, true);
-            }
-            return;
-        }
-        let response = route(shared, &request);
-        let close = !request.keep_alive() || shared.shutdown.load(Ordering::SeqCst);
-        if response.write_to(&mut writer, close).is_err() || close {
-            return;
-        }
-    }
-}
-
 /// Streams one JSON event object per line over chunked transfer encoding
 /// until the job settles: `progress` events whenever the job's
 /// [`crate::progress::JobProgress`] sequence moves (strictly monotonic
 /// `seq`/`ops` within a run), `alive` heartbeats across long gaps, and a
-/// final `end` event carrying the settled state.
+/// final `end` event carrying the settled state. An unknown job is a
+/// `404`.
 fn stream_events(shared: &Shared, id: u64, writer: &mut TcpStream) -> io::Result<()> {
+    if shared.core().job(id).is_none() {
+        return Response::error(404, ErrorCode::NotFound, "no such job").write_to(writer, true);
+    }
     let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
     let mut cursor = EventCursor::new(id);
     loop {
-        cursor.send_progress(&shared.progress, &mut stream)?;
-        match shared.jobs.state(id) {
+        let (state, progress) = match shared.core().job(id) {
+            Some(job) => (Some(job.state), job.progress.clone()),
+            None => (None, None),
+        };
+        cursor.send_progress(progress.as_ref(), &mut stream)?;
+        match state {
             // Evicted mid-stream (retention cap) — close the stream with
             // what we know.
             None => return end_stream(stream, id, "evicted"),
             Some(state) if state.is_settled() => return end_stream(stream, id, state.as_str()),
-            // `run_job` settles a job before it removes its snapshot, so
-            // a settle between the check above and this wait wakes it.
-            Some(_) => cursor.wait(&shared.progress, &mut stream, || {
-                shared.jobs.state(id).is_none_or(JobState::is_settled)
+            Some(_) => cursor.wait(&mut stream, |seq, timeout| {
+                shared.wait_past(id, seq, timeout)
             })?,
         }
     }
@@ -763,20 +560,19 @@ fn job_route(shared: &Shared, method: &str, rest: &str) -> Response {
         return Response::error(404, ErrorCode::NotFound, "job IDs are integers");
     };
     match (method, action) {
-        ("GET", None) => match shared.jobs.get(id) {
+        ("GET", None) => match shared.core().job(id).cloned() {
             Some(record) => Response::json(200, &record.to_json()),
             None => Response::error(404, ErrorCode::NotFound, "no such job"),
         },
-        ("POST", Some("cancel")) => match shared.jobs.cancel(id) {
-            CancelOutcome::Cancelled => {
-                journal_append(shared, &JournalEvent::Cancel { id });
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+        ("POST", Some("cancel")) => match shared.update(|core| core.cancel(id)) {
+            Ok(event) => {
+                shared.journal(&event);
                 Response::json(
                     200,
                     &Json::obj([("id", Json::from(id)), ("state", Json::from("cancelled"))]),
                 )
             }
-            CancelOutcome::TooLate(state) => Response::error(
+            Err(CancelOutcome::TooLate(state)) => Response::error(
                 409,
                 ErrorCode::Conflict,
                 &format!(
@@ -784,15 +580,20 @@ fn job_route(shared: &Shared, method: &str, rest: &str) -> Response {
                     state.as_str()
                 ),
             ),
-            CancelOutcome::NotFound => Response::error(404, ErrorCode::NotFound, "no such job"),
+            Err(CancelOutcome::NotFound) => {
+                Response::error(404, ErrorCode::NotFound, "no such job")
+            }
         },
         (_, None) => Response::error(405, ErrorCode::MethodNotAllowed, "method not allowed"),
         _ => Response::error(404, ErrorCode::NotFound, "no such endpoint"),
     }
 }
 
+/// Admission: parse → reserve a queue place → journal the `Submit`
+/// record → queue. A full or closed queue refuses before anything is
+/// journaled.
 fn submit(shared: &Shared, body: &[u8]) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.core().is_closed() {
         return Response::error(503, ErrorCode::ShuttingDown, "server is shutting down");
     }
     let text = match std::str::from_utf8(body) {
@@ -815,15 +616,24 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
             )
         }
     };
-    let spec_json = spec.to_json().render();
-    let id = shared.jobs.submit(spec);
+    let id = match shared.core().reserve() {
+        Ok(id) => id,
+        Err(Refusal::Full) => {
+            return Response::error(503, ErrorCode::QueueFull, "queue full, retry later")
+                .header("Retry-After", "1")
+        }
+        Err(Refusal::Closed) => {
+            return Response::error(503, ErrorCode::ShuttingDown, "server is shutting down")
+        }
+    };
     // Write-ahead: the submit record must be durable before the client
     // sees 202. If it cannot be journaled, the submission is refused —
     // an acknowledged job that would vanish in a crash is worse than a
     // retry.
     if let Some(journal) = &shared.journal {
+        let spec_json = spec.to_json().render();
         if let Err(e) = journal.append(&JournalEvent::Submit { id, spec_json }) {
-            shared.jobs.forget(id);
+            shared.update(ServeCore::unreserve);
             return Response::error(
                 500,
                 ErrorCode::Internal,
@@ -831,29 +641,11 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
             );
         }
     }
-    match shared.queue.try_push(id) {
-        Ok(()) => {
-            shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-            Response::json(
-                202,
-                &Json::obj([("id", Json::from(id)), ("state", Json::from("queued"))]),
-            )
-        }
-        Err(PushError::Full) => {
-            shared.jobs.forget(id);
-            // The submit record is already durable; compensate so a
-            // replay never resurrects a job the client saw refused.
-            journal_append(shared, &JournalEvent::Cancel { id });
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            Response::error(503, ErrorCode::QueueFull, "queue full, retry later")
-                .header("Retry-After", "1")
-        }
-        Err(PushError::Closed) => {
-            shared.jobs.forget(id);
-            journal_append(shared, &JournalEvent::Cancel { id });
-            Response::error(503, ErrorCode::ShuttingDown, "server is shutting down")
-        }
-    }
+    shared.update(|core| core.admit(id, spec));
+    Response::json(
+        202,
+        &Json::obj([("id", Json::from(id)), ("state", Json::from("queued"))]),
+    )
 }
 
 /// `GET /v1/metrics` — the JSON registry document by default, or
@@ -863,12 +655,9 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
 /// percentile fields), the wire bytes reconstruct the registry exactly, so
 /// merged fleet histograms stay faithful.
 fn metrics_response(shared: &Shared, query: &str) -> Response {
-    let reg = shared.metrics.to_registry(
-        shared.queue.len(),
-        shared.workers,
-        shared.jobs.evictions(),
-        shared.policy_generation(),
-    );
+    let reg = shared
+        .core()
+        .registry(shared.workers, shared.policy_generation());
     if query.split('&').any(|pair| pair == "format=wire") {
         let mut w = wire::Writer::new();
         reg.save_state(&mut w);
@@ -879,9 +668,7 @@ fn metrics_response(shared: &Shared, query: &str) -> Response {
 }
 
 fn shutdown(shared: &Shared) -> Response {
-    let draining = shared.queue.len();
-    shared.shutdown.store(true, Ordering::SeqCst);
-    shared.queue.close();
+    let draining = shared.update(ServeCore::close);
     // Unblock the accept loop so `run` can notice the flag and join the
     // workers. The dummy connection closes immediately (clean EOF).
     let _ = TcpStream::connect(shared.addr);
@@ -894,16 +681,19 @@ fn shutdown(shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve_core::Metrics;
 
     #[test]
     fn metrics_export_through_telemetry_registry() {
-        let m = Metrics::default();
-        m.submitted.store(5, Ordering::Relaxed);
-        m.done.store(3, Ordering::Relaxed);
-        m.timed_out.store(2, Ordering::Relaxed);
-        m.panicked.store(1, Ordering::Relaxed);
-        m.busy.store(1, Ordering::Relaxed);
-        m.recovered.store(4, Ordering::Relaxed);
+        let mut m = Metrics {
+            submitted: 5,
+            done: 3,
+            timed_out: 2,
+            panicked: 1,
+            busy: 1,
+            recovered: 4,
+            ..Metrics::default()
+        };
         m.record_latency(1000);
         m.record_latency(2000);
         let reg = m.to_registry(4, 2, 7, 3);
@@ -931,7 +721,7 @@ mod tests {
         // names, under exactly these sections. Extending the schema is
         // fine — update the lists here — but renaming or dropping a metric
         // breaks scrapers and must be deliberate.
-        let m = Metrics::default();
+        let mut m = Metrics::default();
         m.record_latency(1000);
         let reg = m.to_registry(4, 2, 0, 0);
         let counters: Vec<&str> = reg.counters().map(|(k, _)| k).collect();
@@ -992,5 +782,105 @@ mod tests {
         assert!(cfg.journal_dir.is_none(), "in-memory by default");
         assert!(cfg.finished_cap > 0, "retention cap must admit jobs");
         assert!(cfg.policy.is_none(), "baseline policy by default");
+    }
+
+    /// Server state with one running job and no workers.
+    fn running_job() -> (Arc<Shared>, u64) {
+        let cfg = ServeConfig::default();
+        let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+        let shared = Arc::new(Shared::new(&cfg, addr).expect("in-memory state"));
+        let mut core = shared.core();
+        let id = core.reserve().expect("room");
+        core.admit(id, JobSpec::Run(RunSpec::default()));
+        assert_eq!(core.next_job().map(|(id, _)| id), Some(id));
+        drop(core);
+        (shared, id)
+    }
+
+    #[test]
+    fn wait_past_times_out_without_updates() {
+        let (shared, id) = running_job();
+        shared.update(|core| core.publish(id, |p| p.ops = 1));
+        assert!(!shared.wait_past(id, 1, Duration::from_millis(10)));
+        // seq 1 already satisfies `seq = 0` — returns immediately.
+        assert!(shared.wait_past(id, 0, Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn wait_past_wakes_on_publish() {
+        let (shared, id) = running_job();
+        let waiter = Arc::clone(&shared);
+        let handle = std::thread::spawn(move || {
+            let moved = waiter.wait_past(id, 0, Duration::from_secs(5));
+            (
+                moved,
+                waiter.core().job(id).and_then(|job| job.progress.clone()),
+            )
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        shared.update(|core| core.publish(id, |p| p.ops = 42));
+        let (moved, progress) = handle.join().expect("no panic");
+        assert!(moved, "woken");
+        assert_eq!(progress.map(|p| p.ops), Some(42));
+    }
+
+    #[test]
+    fn wait_past_ends_with_the_job_even_if_it_never_published() {
+        let (shared, id) = running_job();
+        let waiter = Arc::clone(&shared);
+        let handle = std::thread::spawn(move || {
+            let started = Instant::now();
+            let moved = waiter.wait_past(id, 0, Duration::from_secs(5));
+            (moved, started.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        shared.settle(|core| core.finish(id, Outcome::Failed("x".into()), 1));
+        let (moved, waited) = handle.join().expect("no panic");
+        assert!(moved);
+        assert!(waited < Duration::from_secs(1), "woke late: {waited:?}");
+        // An end that landed before the wait began returns at once, and
+        // so does a job the core no longer holds.
+        let started = Instant::now();
+        assert!(shared.wait_past(id, 0, Duration::from_secs(5)));
+        assert!(shared.wait_past(999, 0, Duration::from_secs(5)));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // A job that has not ended keeps its waiter parked until timeout.
+        let (shared, id) = running_job();
+        assert!(!shared.wait_past(id, 0, Duration::from_millis(10)));
+    }
+
+    /// Workers parked on an empty core all wake at close, take the jobs
+    /// admitted just before it, and exit once the queue is drained — a
+    /// close never strands an accepted job or a waiting worker.
+    #[test]
+    fn close_drains_admitted_jobs_then_releases_every_waiting_worker() {
+        let (shared, _) = running_job();
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let mut took = Vec::new();
+                    while let Some((id, _)) = shared.next_job() {
+                        took.push(id);
+                    }
+                    took
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let ids = shared.update(|core| {
+            let ids = [core.reserve(), core.reserve()].map(|id| id.expect("room"));
+            for id in ids {
+                core.admit(id, JobSpec::Run(RunSpec::default()));
+            }
+            core.close();
+            ids
+        });
+        let mut took: Vec<u64> = workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("worker exits"))
+            .collect();
+        took.sort_unstable();
+        assert_eq!(took, ids, "jobs admitted just before the close drain");
     }
 }

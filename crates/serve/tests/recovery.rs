@@ -4,7 +4,7 @@
 //! single run resumes from its checkpoint to the bit-identical result an
 //! uninterrupted run would have produced.
 
-use baryon_bench::spec::{RunSpec, CHECKPOINT_PREFIX};
+use baryon_bench::spec::{GridSpec, JobSpec, RunSpec, CHECKPOINT_PREFIX};
 use baryon_serve::client::{self, ClientResponse};
 use baryon_serve::journal::{Journal, JournalEvent};
 use baryon_serve::{ServeConfig, Server};
@@ -20,12 +20,21 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn boot(journal_dir: &Path) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    boot_with(
+        ServeConfig {
+            workers: 1,
+            queue_depth: 8,
+            ..ServeConfig::default()
+        },
+        journal_dir,
+    )
+}
+
+fn boot_with(cfg: ServeConfig, journal_dir: &Path) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind(ServeConfig {
         port: 0,
-        workers: 1,
-        queue_depth: 8,
         journal_dir: Some(journal_dir.to_path_buf()),
-        ..ServeConfig::default()
+        ..cfg
     })
     .expect("bind ephemeral loopback port");
     let addr = server.local_addr();
@@ -172,4 +181,117 @@ fn unstarted_and_interrupted_jobs_recover() {
     assert!(!dir.join("ckpt-2").exists(), "checkpoints linger");
     shutdown(addr, handle);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let r = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
+    let doc = parse(&r.body).expect("metrics are JSON");
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no counter {name}: {}", r.body))
+}
+
+/// A job its deadline failed stays failed across a restart: the timeout
+/// is journaled like every other settle, so the job never re-runs.
+#[test]
+fn a_timed_out_job_stays_failed_across_restart() {
+    let dir = temp_dir("timed-out");
+    // A grid: its abandoned runner writes no checkpoint into the journal
+    // directory after the test removes it.
+    let slow = JobSpec::Grid(GridSpec {
+        workloads: vec!["ycsb-a".into()],
+        controllers: vec!["simple".into()],
+        base: RunSpec {
+            insts: 5_000_000,
+            ..quick_spec()
+        },
+    });
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_depth: 4,
+        job_deadline: Some(Duration::from_millis(200)),
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = boot_with(cfg.clone(), &dir);
+    let accepted = submit(addr, &slow.to_json().render());
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let status = await_job(addr, 1);
+    assert_eq!(status.get("state"), Some(&Json::from("failed")));
+    let error = status.get("error").map(Json::render);
+    assert!(
+        error
+            .as_deref()
+            .is_some_and(|e| e.contains("deadline exceeded")),
+        "{}",
+        status.render()
+    );
+    shutdown(addr, handle);
+
+    let (addr, handle) = boot_with(cfg, &dir);
+    let r = client::request(addr, "GET", "/v1/jobs/1", None).expect("status reachable");
+    let doc = parse(&r.body).expect("status is JSON");
+    assert_eq!(doc.get("state"), Some(&Json::from("failed")), "{}", r.body);
+    assert_eq!(doc.get("error").map(Json::render), error, "{}", r.body);
+    assert_eq!(counter(addr, "serve.jobs.recovered"), 0, "the job re-ran");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash with a full queue and busy workers leaves more unsettled jobs
+/// than the queue holds. Every one was acknowledged with a `202`, so every
+/// one runs on the next boot.
+#[test]
+fn recovery_readmits_a_backlog_larger_than_the_queue() {
+    let dir = temp_dir("backlog");
+    let (workers, queue_depth) = (2, 2);
+    let specs: Vec<RunSpec> = (0..workers + queue_depth)
+        .map(|i| RunSpec {
+            seed: 10 + i as u64,
+            ..quick_spec()
+        })
+        .collect();
+    {
+        let journal = Journal::open(&dir).expect("open journal");
+        for (i, spec) in specs.iter().enumerate() {
+            let event = JournalEvent::Submit {
+                id: i as u64 + 1,
+                spec_json: spec.to_json().render(),
+            };
+            journal.append(&event).expect("append");
+        }
+        for id in 1..=workers as u64 {
+            journal.append(&JournalEvent::Start { id }).expect("append");
+        }
+    }
+    let (addr, handle) = boot_with(
+        ServeConfig {
+            workers,
+            queue_depth,
+            ..ServeConfig::default()
+        },
+        &dir,
+    );
+    for (i, spec) in specs.iter().enumerate() {
+        let status = await_job(addr, i as u64 + 1);
+        assert_eq!(
+            status.get("state"),
+            Some(&Json::from("done")),
+            "job {}: {}",
+            i + 1,
+            status.render()
+        );
+        assert_eq!(
+            status.get("result").map(Json::render),
+            Some(spec.execute().expect("direct run").to_json().render()),
+            "job {} diverged from the direct run",
+            i + 1
+        );
+    }
+    assert_eq!(
+        counter(addr, "serve.jobs.recovered"),
+        (workers + queue_depth) as u64
+    );
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }

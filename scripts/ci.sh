@@ -44,6 +44,20 @@ cargo test -q --workspace --offline
 echo "==> fleet-core property gate (1024 interleavings)"
 BARYON_PROP_CASES=1024 cargo test -q -p baryon-fleet --release --offline --test fleet_core_props
 
+# Serve-core property gate: a shard's job state machine
+# (crates/serve/src/serve_core.rs) driven through 1024 arbitrary
+# interleavings of boot-time recovery, reservations that land, are refused
+# or fail to journal, workers starting, publishing and finishing jobs,
+# deadlines abandoning runners whose late results then arrive, cancels
+# and a close. The queue must stay exactly the queued jobs in ID order,
+# every job must settle exactly once with exactly one journaled Finish or
+# Cancel, the counters must match the settles, retention must evict the
+# oldest settle first, no settled job may keep a progress snapshot, and a
+# closed, drained core must yield no work. `cargo test` above runs the
+# same suite at the default case count.
+echo "==> serve-core property gate (1024 interleavings)"
+BARYON_PROP_CASES=1024 cargo test -q -p baryon-serve --release --offline --test serve_core_props
+
 # Crash-recovery gate: SIGKILL a serving process mid-run (after its job
 # has written a checkpoint into the journal directory), restart a server
 # on the same journal, and require the recovered job to finish with the
