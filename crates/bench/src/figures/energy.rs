@@ -5,7 +5,7 @@
 //! and Baryon-FA saving 14.5% vs Hybrid2, mostly from reduced slow-memory
 //! traffic.
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::metrics::RunResult;
@@ -14,10 +14,9 @@ use baryon_sim::summary::geomean;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "energy",
-    title: "memory-system energy, normalized per workload",
+    blurb: "§IV-B: memory-system energy",
     header: "mode,workload,a,b,c",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// `(mode, contenders)`: Baryon is the last contender of each mode.

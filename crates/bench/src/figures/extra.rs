@@ -12,7 +12,7 @@
 //! * **related design points**: the OS page-migration strawman of §II-A
 //!   and the micro-sector cache of §V.
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::config::VictimPolicy;
@@ -23,10 +23,9 @@ use baryon_sim::summary::geomean;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "extra",
-    title: "prose claims and §III-F discussions",
+    blurb: "Prose claims, §III-F discussions and related design points",
     header: "variant,rel_perf,rel_slow_traffic",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// The Baryon ablations as `(label, knobs)`; the first, `default`, is

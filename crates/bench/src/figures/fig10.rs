@@ -3,7 +3,7 @@
 //!
 //! The paper reports 1.18x average and up to 2.50x.
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::metrics::RunResult;
@@ -12,10 +12,9 @@ use baryon_sim::summary::geomean;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "fig10",
-    title: "flat-mode speedup of Baryon-FA over Hybrid2",
+    blurb: "Fig 10: flat mode — Baryon-FA over Hybrid2",
     header: "workload,hybrid2_cycles,baryon_fa_cycles,speedup",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// Hybrid2 then Baryon-FA on every workload.

@@ -5,7 +5,7 @@
 //! plus a read-latency distribution table (p50/p95/p99) that the paper's
 //! serve-rate argument implies but does not plot.
 
-use super::{print_table, Figure};
+use super::{print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::metrics::RunResult;
@@ -15,10 +15,9 @@ use baryon_workloads::registry;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "fig11",
-    title: "fast-memory serve rate and bandwidth bloat factor",
+    blurb: "Fig 11: fast-memory serve rate and bandwidth bloat",
     header: "metric,workload,unison,dice,baryon",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// The paper compares Unison / DICE / Baryon here.

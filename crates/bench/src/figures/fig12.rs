@@ -7,7 +7,7 @@
 //! * the aligned same-CF range restriction: achieved CF vs an offline
 //!   per-chunk ideal (the metadata-free upper bound; see EXPERIMENTS.md).
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_compress::{best_compressed_size, Cf, RangeCompressor};
@@ -19,10 +19,9 @@ use baryon_workloads::Workload;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "fig12",
-    title: "compression-scheme ablations (performance and CF)",
+    blurb: "Fig 12: compression-scheme ablations",
     header: "workload,variant,cycles,rel_perf,avg_cf",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// The ablations as `(label, knobs)`, `default` first (it is every

@@ -9,7 +9,7 @@
 //!     34.5% on average; larger stage helps up to ~64 MB),
 //! (d) selective-commit parameter k in {0, 1, 2, 4, inf} plus commit-all.
 
-use super::{print_table, Figure};
+use super::{print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::config::BaryonConfig;
@@ -20,10 +20,9 @@ use baryon_sim::summary::geomean;
 /// The figure. Its columns are the representative workloads.
 pub const FIGURE: Figure = Figure {
     id: "fig13",
-    title: "design-parameter exploration (normalized to default)",
+    blurb: "Fig 13: design-parameter exploration",
     header: "panel,variant,505.mcf_r,520.omnetpp_r,549.fotonik3d_r,pr.twi,resnet50,ycsb-a,geomean",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// Every `(panel, label, knobs)` point; the first, `default`, is every

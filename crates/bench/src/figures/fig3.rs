@@ -12,7 +12,7 @@
 //! the block's phase — S = case-1 hits vs case-3 misses vs stage
 //! overflows, C = case-2 hits vs case-4 bypasses vs committed overflows.
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::config::BaryonConfig;
@@ -21,10 +21,9 @@ use baryon_core::metrics::RunResult;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "fig3",
-    title: "stage (S) vs committed (C) access breakdown",
+    blurb: "Fig 3: staged (S) vs committed (C) access breakdown",
     header: "panel,workload,stage,s_hit,s_miss,s_ovf,c_hit,c_miss,c_ovf",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// Panel (b)'s stage sizes as divisors of the default. The paper sweeps

@@ -10,27 +10,22 @@
 //! this figure builds each system from its spec and reads the tracker
 //! after the run.
 
-use super::print_table;
-use crate::spec::RunSpec;
+use super::{print_table, Body, Figure};
 use crate::{timed, Params};
 use baryon_core::controller::phase::PHASE_BUCKETS;
 use baryon_sim::summary::BoxSummary;
 
-/// The CSV header.
-pub const HEADER: &str = "x,p5,p25,p50,p75,p95,samples";
+/// The figure.
+pub const FIGURE: Figure = Figure {
+    id: "fig4",
+    blurb: "Fig 4: stage-phase miss-rate distribution (normalized time)",
+    header: "x,p5,p25,p50,p75,p95,samples",
+    body: Body::Systems(rows),
+};
 
-/// Default Baryon on the representative subset: a mixed sample across the
-/// suite, as the paper aggregates workloads.
-pub fn spec(p: &Params) -> Vec<RunSpec> {
-    let subset = p.representative();
-    subset
-        .iter()
-        .map(|w| p.cell(w.name, "baryon", knobs!()))
-        .collect()
-}
-
-/// Runs every spec with phase tracking on, prints the distribution and
-/// returns the CSV rows.
+/// Runs default Baryon on the representative subset (a mixed sample
+/// across the suite, as the paper aggregates workloads) with phase
+/// tracking on, prints the distribution and returns the CSV rows.
 ///
 /// # Errors
 ///
@@ -38,7 +33,8 @@ pub fn spec(p: &Params) -> Vec<RunSpec> {
 pub fn rows(p: &Params) -> Result<Vec<String>, String> {
     let mut all_buckets: [Vec<f64>; PHASE_BUCKETS] = Default::default();
     let (mut committed, mut evicted) = (0usize, 0usize);
-    for spec in spec(p) {
+    for w in p.representative() {
+        let spec = p.cell(w.name, "baryon", knobs!());
         let mut system = spec.build_system()?;
         let ctrl = system.controller_mut().as_baryon_mut().expect("baryon");
         ctrl.enable_phase_tracking(64, 1_000);
@@ -69,7 +65,7 @@ pub fn rows(p: &Params) -> Result<Vec<String>, String> {
             medians.push((i, b.p50.max(1e-4)));
         }
     }
-    print_table(HEADER, &rows);
+    print_table(FIGURE.header, &rows);
     let median_at = |i| medians.iter().find(|(j, _)| *j == i).map_or(0.0, |m| m.1);
     println!(
         "\nmedian miss ratio drops {:.1}x from the first to the last bucket",
@@ -82,14 +78,4 @@ pub fn rows(p: &Params) -> Result<Vec<String>, String> {
     println!("\npaper shape: an order-of-magnitude drop, stabilizing past x = 0.5,");
     println!("with a high 95% tail (the unstable blocks motivating selective commit).");
     Ok(rows)
-}
-
-/// The bench target.
-///
-/// # Panics
-///
-/// Panics when a run fails.
-pub fn main() {
-    let title = "stage-phase miss-ratio distribution (normalized time)";
-    super::bench_main("fig4", title, HEADER, rows);
 }

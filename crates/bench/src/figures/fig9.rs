@@ -4,7 +4,7 @@
 //! The paper reports Baryon at 1.38x (up to 2.46x) over Unison Cache and
 //! 1.27x (up to 1.68x) over DICE on geomean.
 
-use super::{next, print_table, Figure};
+use super::{next, print_table, Body, Figure};
 use crate::spec::RunSpec;
 use crate::Params;
 use baryon_core::metrics::RunResult;
@@ -14,10 +14,9 @@ use baryon_sim::summary::geomean;
 /// The figure.
 pub const FIGURE: Figure = Figure {
     id: "fig9",
-    title: "cache-mode speedups normalized to Simple",
+    blurb: "Fig 9: cache-mode speedups, normalized to Simple",
     header: "workload,simple,unison,dice,baryon_64b,baryon",
-    spec,
-    reduce,
+    body: Body::Runs { spec, reduce },
 };
 
 /// The cache-mode contenders in plot order: `(controller, knobs)`.

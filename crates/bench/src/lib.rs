@@ -2,22 +2,13 @@
 
 //! Benchmark harness regenerating the paper's tables and figures.
 //!
-//! Every run goes through [`spec::RunSpec`]. A paper figure is a module of
-//! [`figures`]: its `spec` lists the runs the figure needs, each a
-//! workload × controller × sparse [`baryon_core::Knobs`] overlay, and its
-//! `reduce` turns the finished results into the figure's table and CSV
-//! rows. [`spec::execute_all`] runs every list in process. Each `cargo
-//! bench` target under `benches/` prints one table or figure of the
-//! evaluation section (see DESIGN.md §3 for the index) and writes a
-//! machine-readable copy to `baryon-results/<id>.csv`.
-//!
-//! Knobs (environment variables):
-//!
-//! * `BARYON_BENCH_INSTS` — measured instructions per core (default 150000),
-//! * `BARYON_BENCH_WARMUP` — warm-up instructions per core (default 50000),
-//! * `BARYON_BENCH_SCALE` — capacity divisor vs the paper (default 256),
-//! * `BARYON_BENCH_SEED` — seed shared by all runs (default 42),
-//! * `BARYON_BENCH_QUICK` — if set, runs a reduced workload set.
+//! Every run goes through [`spec::RunSpec`]. A table or figure of the
+//! evaluation is a module of [`figures`]: its `spec` lists the runs it
+//! needs, each a workload × controller × sparse [`baryon_core::Knobs`]
+//! overlay, and its `reduce` turns the finished results into the figure's
+//! table and CSV rows. [`figures::run`] computes one figure at a set of
+//! [`Params`]; `baryon-cli figure --id <id>|all` is its command line (see
+//! DESIGN.md §3 for the index), writing `<id>.csv` and a `report.md`.
 
 pub mod figures;
 pub mod spec;
@@ -44,26 +35,21 @@ pub struct Params {
     pub seed: u64,
 }
 
-impl Params {
-    /// Reads parameters from the environment.
-    pub fn from_env() -> Self {
-        let get = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
+/// The paper-figure defaults: 150000 measured and 50000 warm-up
+/// instructions per core, divisor 256, seed 42, the full workload suite.
+impl Default for Params {
+    fn default() -> Self {
         Params {
-            insts: get("BARYON_BENCH_INSTS", 150_000),
-            warmup: get("BARYON_BENCH_WARMUP", 50_000),
-            scale: Scale {
-                divisor: get("BARYON_BENCH_SCALE", 256),
-            },
-            quick: std::env::var("BARYON_BENCH_QUICK").is_ok(),
-            seed: get("BARYON_BENCH_SEED", 42),
+            insts: 150_000,
+            warmup: 50_000,
+            scale: Scale { divisor: 256 },
+            quick: false,
+            seed: 42,
         }
     }
+}
 
+impl Params {
     /// The full workload suite (or the quick subset).
     pub fn workloads(&self) -> Vec<Workload> {
         let all = registry(self.scale);
@@ -111,22 +97,6 @@ impl Params {
     }
 }
 
-/// Where CSV outputs go: `baryon-results/` at the workspace root (bench
-/// binaries run with the package directory as CWD, and anything under
-/// `target/` may be garbage-collected by cargo). Overridable via
-/// `BARYON_RESULTS_DIR`.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("BARYON_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("baryon-results")
-        });
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
 /// The CSV text of `rows` under `header`, one line each.
 pub fn csv_text(header: &str, rows: &[String]) -> String {
     let mut body = String::from(header);
@@ -138,9 +108,12 @@ pub fn csv_text(header: &str, rows: &[String]) -> String {
     body
 }
 
-/// Writes a CSV file into the results directory.
+/// Writes `<id>.csv` into `baryon-results/` at the workspace root (bench
+/// binaries run with the package directory as CWD).
 pub fn write_csv(id: &str, header: &str, rows: &[String]) {
-    let path = results_dir().join(format!("{id}.csv"));
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../baryon-results");
+    fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join(format!("{id}.csv"));
     fs::write(&path, csv_text(header, rows)).expect("write csv");
     println!("\n[{} rows written to {}]", rows.len(), path.display());
 }
@@ -166,20 +139,17 @@ mod tests {
 
     #[test]
     fn params_default() {
-        let p = Params::from_env();
-        assert!(p.insts > 0);
+        let p = Params::default();
+        assert_eq!(
+            (p.insts, p.warmup, p.seed, p.quick),
+            (150_000, 50_000, 42, false)
+        );
         assert_eq!(p.scale.divisor, 256);
     }
 
     #[test]
     fn representative_subset_nonempty() {
-        let p = Params {
-            insts: 1,
-            warmup: 0,
-            scale: Scale::default(),
-            quick: false,
-            seed: 1,
-        };
+        let p = Params::default();
         assert_eq!(p.representative().len(), 6);
         assert!(p.workloads().len() >= 15);
     }
@@ -187,11 +157,8 @@ mod tests {
     #[test]
     fn quick_mode_reduces() {
         let p = Params {
-            insts: 1,
-            warmup: 0,
-            scale: Scale::default(),
             quick: true,
-            seed: 1,
+            ..Params::default()
         };
         assert_eq!(p.workloads().len(), 4);
     }

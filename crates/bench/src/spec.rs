@@ -1051,7 +1051,8 @@ mod tests {
             },
             ..FleetPolicy::default()
         };
-        policy.validate().expect("valid at the validation scale");
+        // Built without `validate`, which refuses it: a run at a scale the
+        // policy invalidates must fail with an error, not panic.
         let spec = RunSpec {
             scale: 4096,
             ..small_spec()

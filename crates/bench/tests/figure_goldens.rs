@@ -1,9 +1,8 @@
-//! Figure goldens: every paper figure, run through `spec → execute_all →
-//! reduce` (Fig 4 through its phase-tracked systems) at small settings
-//! over the full workload list, must reproduce the CSV bytes in
-//! `tests/fixtures/figures/`. The fixtures were written by the figure
-//! bench targets at the same settings, so a figure's data path cannot
-//! drift from what its bench reports.
+//! Figure goldens: every table and figure of `figures::ALL`, computed by
+//! `figures::run` (the function behind `baryon-cli figure`) at small
+//! settings over the full workload list, must reproduce the CSV bytes in
+//! `tests/fixtures/figures/`, so a figure's data path cannot drift from
+//! what the command reports.
 //!
 //! Regenerate (only when a behaviour change is intended and explained in
 //! the commit message):
@@ -12,9 +11,10 @@
 //! BARYON_BLESS_GOLDENS=1 cargo test -p baryon-bench --test figure_goldens
 //! ```
 
-use baryon_bench::figures::{fig4, ALL};
-use baryon_bench::{csv_text, Params};
+use baryon_bench::figures::{self, ALL};
+use baryon_bench::Params;
 use baryon_workloads::Scale;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 const PARAMS: Params = Params {
@@ -32,16 +32,24 @@ fn fixture_path(id: &str) -> PathBuf {
 }
 
 #[test]
+fn every_figure_has_a_unique_id_a_blurb_and_a_fixture() {
+    let ids: BTreeSet<&str> = ALL.iter().map(|f| f.id).collect();
+    assert_eq!(ids.len(), ALL.len(), "duplicate figure ids");
+    for f in &ALL {
+        assert!(!f.blurb.trim().is_empty(), "{} has no blurb", f.id);
+        assert!(fixture_path(f.id).is_file(), "{} has no fixture", f.id);
+    }
+}
+
+#[test]
 fn every_figure_matches_its_golden_csv() {
-    let mut actual: Vec<(&str, String)> = ALL
+    let actual: Vec<(&str, String)> = ALL
         .iter()
         .map(|f| {
-            let rows = f.rows(&PARAMS).unwrap_or_else(|e| panic!("{}: {e}", f.id));
-            (f.id, csv_text(f.header, &rows))
+            let csv = figures::run(f, &PARAMS).unwrap_or_else(|e| panic!("{}: {e}", f.id));
+            (f.id, csv)
         })
         .collect();
-    let rows = fig4::rows(&PARAMS).expect("fig4 runs");
-    actual.push(("fig4", csv_text(fig4::HEADER, &rows)));
 
     if std::env::var_os("BARYON_BLESS_GOLDENS").is_some() {
         for (id, body) in &actual {

@@ -12,6 +12,8 @@
 //! baryon-cli fleet --port 8678 --shards 3 --workers 2
 //! baryon-cli fleet admin stage --file policy.json
 //! baryon-cli fleet admin commit
+//! baryon-cli figure --id fig9 --scale 512 --out baryon-results
+//! baryon-cli figure --id all --quick true
 //! ```
 //!
 //! Controllers: `baryon`, `baryon-fa`, `baryon-mixed`, `simple`, `unison`,
@@ -51,14 +53,16 @@
 //! respawns in a row, each within 10 s of the end of the previous one's
 //! backoff (default 8, `0` disables quarantine).
 
+use baryon_bench::figures::{self, Figure};
 use baryon_bench::spec::{resume_from, RunSpec};
+use baryon_bench::{banner, Params};
 use baryon_core::checkpoint::atomic_write;
 use baryon_core::family::FamilyId;
 use baryon_core::metrics::RunResult;
 use baryon_core::system::{ControllerKind, System, SystemConfig};
 use baryon_fleet::{Fleet, FleetConfig, ShardLauncher};
 use baryon_serve::{ServeConfig, Server};
-use baryon_workloads::{by_name, registry, RecordedTrace};
+use baryon_workloads::{by_name, registry, RecordedTrace, Scale};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -82,10 +86,14 @@ fn usage() -> ! {
          [--journal-dir DIR] [--policy FILE]\n  \
          baryon-cli fleet [--port P] [--shards N] [--workers N] [--queue-depth N]\n      \
          [--queue-cap N] [--max-in-flight N] [--journal-root DIR] [--shard-program EXE]\n  \
-         baryon-cli fleet admin status|stage|commit|rollback [--addr HOST:PORT] [--file FILE]\n\n\
+         baryon-cli fleet admin status|stage|commit|rollback [--addr HOST:PORT] [--file FILE]\n  \
+         baryon-cli figure --id <figure>|all [--insts N] [--warmup N] [--scale D] [--seed S]\n      \
+         [--quick true] [--out DIR]\n\n\
          flags accept both `--flag value` and `--flag=value`\n\
-         controllers: {}",
-        FamilyId::NAMES.join(" ")
+         controllers: {}\n\
+         figures: {}",
+        FamilyId::NAMES.join(" "),
+        figure_ids()
     );
     std::process::exit(2)
 }
@@ -398,6 +406,72 @@ fn cmd_fleet(args: &Args) -> ExitCode {
     }
 }
 
+fn figure_ids() -> String {
+    let ids: Vec<&str> = figures::ALL.iter().map(|f| f.id).collect();
+    ids.join(" ")
+}
+
+/// Computes one figure (or `all` of them, in the paper's order), writing
+/// `<id>.csv` into `--out` and re-rendering `report.md` there.
+fn cmd_figure(args: &Args) -> ExitCode {
+    let id = args.require("id");
+    let chosen: Vec<&Figure> = figures::ALL
+        .iter()
+        .filter(|f| id == "all" || f.id == id)
+        .collect();
+    if chosen.is_empty() {
+        eprintln!("unknown figure {id}; valid: all {}", figure_ids());
+        return ExitCode::from(2);
+    }
+    let d = Params::default();
+    let params = Params {
+        insts: args.num("insts", d.insts),
+        warmup: args.num("warmup", d.warmup),
+        scale: Scale {
+            divisor: args.num("scale", d.scale.divisor),
+        },
+        seed: args.num("seed", d.seed),
+        quick: args.bool_flag("quick", d.quick),
+    };
+    if params.scale.divisor == 0 || params.insts == 0 {
+        eprintln!("--scale and --insts must be at least 1");
+        return ExitCode::from(2);
+    }
+    let out = args.get("out").unwrap_or_else(|| "baryon-results".into());
+    match write_figures(&chosen, &params, Path::new(&out)) {
+        Ok(missing) => {
+            println!("report: {out}/report.md (missing sections: {missing:?})");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs and writes each figure, then the report; returns the report's
+/// missing sections.
+fn write_figures(
+    chosen: &[&Figure],
+    params: &Params,
+    out: &Path,
+) -> Result<Vec<&'static str>, String> {
+    let io = |path: &Path| {
+        let path = path.display().to_string();
+        move |e: std::io::Error| format!("cannot write {path}: {e}")
+    };
+    std::fs::create_dir_all(out).map_err(io(out))?;
+    for figure in chosen {
+        banner(figure.id, figure.blurb);
+        let csv = figures::run(figure, params).map_err(|e| format!("{}: {e}", figure.id))?;
+        let path = out.join(format!("{}.csv", figure.id));
+        atomic_write(&path, csv.as_bytes()).map_err(io(&path))?;
+        println!("\n[written to {}]", path.display());
+    }
+    figures::write_report(out).map_err(io(out))
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // `fleet admin <action>` carries a second positional the flag parser
@@ -417,6 +491,7 @@ fn main() -> ExitCode {
         Some("record") => cmd_record(&args),
         Some("serve") => cmd_serve(&args),
         Some("fleet") => cmd_fleet(&args),
+        Some("figure") => cmd_figure(&args),
         _ => usage(),
     }
 }

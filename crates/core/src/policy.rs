@@ -293,11 +293,31 @@ pub struct FleetPolicy {
     pub checkpoint_every: Option<u64>,
 }
 
-/// The scale every staged policy is validated against. Knobs overlay
-/// whatever design point a run uses, so one canonical scale catches
-/// illegal values at stage time; a value that is legal here but not at a
-/// run's own scale fails that run with an error, never a panic.
-pub const VALIDATION_SCALE: Scale = Scale { divisor: 256 };
+/// The largest capacity divisor a policy is validated at. Knobs overlay
+/// whatever design point a run uses, and some values are legal at one
+/// scale only (`stage_ways: 1024` fits at divisor 256 but not at 4096),
+/// so a policy is checked at every power-of-two divisor from the paper's
+/// machine (1) up to this one, the smallest machine any figure or test
+/// runs. A run at a scale outside that range that its policy invalidates
+/// fails with an error, never a panic.
+pub const MAX_VALIDATION_DIVISOR: u64 = 4096;
+
+/// A policy whose knobs are invalid on a Baryon design point.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyError {
+    /// The smallest capacity divisor at which the knobs fail.
+    pub divisor: u64,
+    /// The violated invariant.
+    pub error: ConfigError,
+}
+
+impl std::fmt::Display for PolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at scale divisor {}", self.error, self.divisor)
+    }
+}
+
+impl std::error::Error for PolicyError {}
 
 impl FleetPolicy {
     /// True when the policy overrides nothing — the built-in baseline.
@@ -305,17 +325,24 @@ impl FleetPolicy {
         self.knobs.is_empty() && self.job_deadline_ms.is_none() && self.checkpoint_every.is_none()
     }
 
-    /// Validates the knobs on every Baryon family's design point at
-    /// [`VALIDATION_SCALE`]: a policy applies to every Baryon run, and
-    /// some knobs (`assoc`, `flat_fraction`) are legal in one mode only.
+    /// Validates the knobs on every Baryon family's design point at every
+    /// power-of-two divisor up to [`MAX_VALIDATION_DIVISOR`]: a policy
+    /// applies to every Baryon run at any scale, and some knobs (`assoc`,
+    /// `flat_fraction`) are legal in one mode only. Runs at stage and load
+    /// time, never per job.
     ///
     /// # Errors
     ///
-    /// The typed [`ConfigError`] for the first violated invariant.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        for family in FamilyId::ALL {
-            if let ControllerKind::Baryon(base) = family.kind(VALIDATION_SCALE) {
-                self.knobs.resolve(base)?;
+    /// The first violated invariant, at the smallest divisor that violates
+    /// one.
+    pub fn validate(&self) -> Result<(), PolicyError> {
+        for shift in 0..=MAX_VALIDATION_DIVISOR.trailing_zeros() {
+            let divisor = 1 << shift;
+            for family in FamilyId::ALL {
+                if let ControllerKind::Baryon(base) = family.kind(Scale { divisor }) {
+                    let resolved = self.knobs.resolve(base);
+                    resolved.map_err(|error| PolicyError { divisor, error })?;
+                }
             }
         }
         Ok(())
@@ -429,11 +456,13 @@ mod tests {
     use baryon_sim::check::{props, Gen};
     use baryon_sim::json;
 
+    const SCALE: Scale = Scale { divisor: 256 };
+
     #[test]
     fn default_is_baseline_and_applies_nothing() {
         let p = FleetPolicy::default();
         assert!(p.is_baseline());
-        let base = BaryonConfig::default_cache_mode(VALIDATION_SCALE);
+        let base = BaryonConfig::default_cache_mode(SCALE);
         assert_eq!(p.knobs.apply(base.clone()), base);
         p.validate().expect("baseline valid");
     }
@@ -452,16 +481,12 @@ mod tests {
         };
         assert!(!p.is_baseline());
         p.validate().expect("valid");
-        let cfg = p
-            .knobs
-            .apply(BaryonConfig::default_cache_mode(VALIDATION_SCALE));
+        let cfg = p.knobs.apply(BaryonConfig::default_cache_mode(SCALE));
         assert_eq!(cfg.commit_k, 2.0);
         assert!(!cfg.zero_opt);
         assert_eq!(cfg.scrub_interval, 1000);
         assert_eq!(cfg.geometry, crate::Geometry::baryon_64b());
-        let applied = p
-            .knobs
-            .apply(BaryonConfig::default_flat_fa(VALIDATION_SCALE));
+        let applied = p.knobs.apply(BaryonConfig::default_flat_fa(SCALE));
         assert_eq!(applied.commit_k, 2.0);
         assert_eq!(applied.mode, crate::config::HybridMode::Flat, "mode kept");
     }
@@ -475,6 +500,7 @@ mod tests {
             }
             .validate()
             .expect_err("invalid")
+            .error
         };
         assert_eq!(
             bad(Knobs {
@@ -537,6 +563,37 @@ mod tests {
             }),
             ConfigError::NoDataArea
         );
+    }
+
+    #[test]
+    fn validation_walks_every_divisor() {
+        // One 1024-way set fills the stage area at divisor 256, and is
+        // larger than the stage area from divisor 512 on.
+        let p = FleetPolicy {
+            knobs: Knobs {
+                stage_ways: Some(1024),
+                ..Knobs::default()
+            },
+            ..FleetPolicy::default()
+        };
+        let err = p.validate().expect_err("invalid on smaller machines");
+        assert_eq!(
+            err,
+            PolicyError {
+                divisor: 512,
+                error: ConfigError::StageSmallerThanSet
+            }
+        );
+        assert!(err.to_string().ends_with("at scale divisor 512"), "{err}");
+        // A knob that is illegal everywhere names the paper's machine.
+        let p = FleetPolicy {
+            knobs: Knobs {
+                commit_k: Some(-1.0),
+                ..Knobs::default()
+            },
+            ..FleetPolicy::default()
+        };
+        assert_eq!(p.validate().expect_err("invalid").divisor, 1);
     }
 
     #[test]

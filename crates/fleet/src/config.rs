@@ -29,8 +29,7 @@
 //!   untouched — the active slot always holds a validated (or baseline)
 //!   policy.
 
-use baryon_core::config::ConfigError;
-use baryon_core::policy::{FleetPolicy, Knobs};
+use baryon_core::policy::{FleetPolicy, Knobs, PolicyError};
 use baryon_sim::json::Json;
 use baryon_sim::wire::{Reader, WireError, Writer};
 
@@ -165,7 +164,7 @@ impl SlotInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StageError {
     /// The candidate failed [`FleetPolicy::validate`].
-    Invalid(ConfigError),
+    Invalid(PolicyError),
     /// A commit or rollback is in flight; the slots are frozen.
     RolloutInFlight,
 }

@@ -20,6 +20,7 @@ use baryon_core::checkpoint::Checkpoint;
 use baryon_core::policy::FleetPolicy;
 use baryon_sim::json::{self, Json};
 use baryon_sim::wire;
+use std::collections::BTreeSet;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -299,7 +300,8 @@ impl Server {
 /// Settled jobs come back with their journaled outcomes; never-started and
 /// interrupted jobs are queued again, past the queue's capacity if need be
 /// (interrupted single runs resume from their newest checkpoint when a
-/// worker picks them up). Runs before the worker pool spawns, so recovered
+/// worker picks them up). Checkpoint directories of every other job are
+/// removed. Runs before the worker pool spawns, so recovered
 /// work is queued ahead of anything newly submitted.
 fn recover_from_journal(shared: &Shared, dir: &std::path::Path) -> io::Result<()> {
     // Every ID the journal issued belongs to a recovered job, and each
@@ -310,6 +312,20 @@ fn recover_from_journal(shared: &Shared, dir: &std::path::Path) -> io::Result<()
             .map_err(|e| e.to_string())
             .and_then(|doc| JobSpec::from_json(&doc));
         shared.settle(|core| core.recover(job.id, spec, job.state));
+    }
+    // A `ckpt-<id>/` outlives its job when the process exits before the
+    // job's runner removes it (a runner abandoned by its deadline, say).
+    // Only the re-queued runs resume from theirs; the rest go.
+    let queued: BTreeSet<u64> = shared.core().queued().collect();
+    for entry in std::fs::read_dir(dir)?.flatten() {
+        let name = entry.file_name();
+        let id = name.to_str().and_then(|n| n.strip_prefix("ckpt-"));
+        if id
+            .and_then(|id| id.parse().ok())
+            .is_some_and(|id| !queued.contains(&id))
+        {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
     }
     Ok(())
 }

@@ -183,6 +183,71 @@ fn unstarted_and_interrupted_jobs_recover() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A `ckpt-<id>/` outlives its job when the process exits before the
+/// job's runner removes it. A restart removes those of settled jobs and of
+/// IDs the journal never issued, and keeps an interrupted run's, which
+/// still resumes from it.
+#[test]
+fn a_restart_removes_the_checkpoints_of_settled_jobs() {
+    let dir = temp_dir("stale-ckpt");
+    let spec = quick_spec();
+    let golden = spec.execute().expect("golden run").to_json().render();
+    {
+        let mut system = spec.build_system().expect("system");
+        system.begin(spec.insts);
+        assert!(!system.advance(800), "run too short to interrupt");
+        let checkpoint = spec.checkpoint_of(&system);
+        for id in [1, 2, 9] {
+            let ckpt = dir.join(format!("ckpt-{id}"));
+            let saved = checkpoint.save_rotating(&ckpt, CHECKPOINT_PREFIX, 2);
+            saved.expect("write checkpoint");
+        }
+        // A rotten newest rotation: job 2 quarantines it only if its
+        // directory survived the restart.
+        let rotten = format!("{CHECKPOINT_PREFIX}-{}.ckpt", u64::MAX);
+        std::fs::write(dir.join("ckpt-2").join(rotten), b"rot").expect("plant");
+        let journal = Journal::open(&dir).expect("open journal");
+        let spec_json = spec.to_json().render();
+        for event in [
+            JournalEvent::Submit {
+                id: 1,
+                spec_json: spec_json.clone(),
+            },
+            JournalEvent::Start { id: 1 },
+            JournalEvent::Finish {
+                id: 1,
+                ok: true,
+                body: golden.clone(),
+            },
+            JournalEvent::Submit { id: 2, spec_json },
+            JournalEvent::Start { id: 2 },
+        ] {
+            journal.append(&event).expect("append");
+        }
+    }
+
+    let (addr, handle) = boot(&dir);
+    assert!(
+        !dir.join("ckpt-1").exists(),
+        "a settled job's checkpoints linger"
+    );
+    assert!(
+        !dir.join("ckpt-9").exists(),
+        "an unknown job's checkpoints linger"
+    );
+    let status = await_job(addr, 2);
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
+    assert_eq!(status.get("result").map(Json::render), Some(golden));
+    assert_eq!(
+        counter(addr, "serve.ckpt.quarantined"),
+        1,
+        "job 2 ran without its checkpoints"
+    );
+    assert!(!dir.join("ckpt-2").exists(), "checkpoints linger");
+    shutdown(addr, handle);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 fn counter(addr: SocketAddr, name: &str) -> u64 {
     let r = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     let doc = parse(&r.body).expect("metrics are JSON");

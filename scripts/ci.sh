@@ -86,6 +86,20 @@ cargo test -q -p baryon-bench --release --offline --test differential_golden
 echo "==> figure golden gate (every figure's CSV at small settings)"
 cargo test -q -p baryon-bench --release --offline --test figure_goldens
 
+# Figure command gate: every table and figure through `baryon-cli figure`
+# at quick settings into a scratch directory. The rendered report.md must
+# have no section left "not yet generated".
+echo "==> figure command (every figure, quick settings)"
+tmp=$(mktemp -d)
+cargo run --release -q -p baryon-cli --offline -- figure --id all --quick true \
+    --insts 3000 --warmup 500 --scale 2048 --out "$tmp" > "$tmp/figure.log"
+if grep -q "not yet generated" "$tmp/report.md"; then
+    echo "figure report has missing sections:" >&2
+    grep -B4 "not yet generated" "$tmp/report.md" >&2
+    exit 1
+fi
+rm -rf "$tmp"
+
 # Fleet gate: one binary, three scenarios, each on a fresh coordinator
 # over 3 real shard processes (the binary re-invoked as its own shards).
 # No cell has a home shard: each runs on whichever shard's worker pulls it.
