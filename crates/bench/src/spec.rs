@@ -104,8 +104,9 @@ pub struct RunSpec {
     /// Off by default: disabled runs never read the host clock, keeping
     /// results bit-identical.
     pub telemetry: bool,
-    /// Host threads used to refill per-core trace shards. Purely a
-    /// throughput knob: any value produces bit-identical results.
+    /// Host threads per run. Runs are single-threaded (parallelism comes
+    /// from running many specs at once), so 1 is the only valid value; the
+    /// field stays on the wire so spec documents keep their bytes.
     pub threads: u64,
     /// Controller knobs overlaid on the family's default design point at
     /// the run's scale (Baryon families only). They take precedence over
@@ -244,6 +245,18 @@ impl RunSpec {
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_with(None)
+    }
+
+    /// [`RunSpec::validate`] under a fleet policy: the controller is
+    /// resolved the way a run under `policy` builds it, so admission can
+    /// refuse a job whose scale the active policy's knobs invalidate
+    /// instead of failing it at run time.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field or knob.
+    pub fn validate_with(&self, policy: Option<&FleetPolicy>) -> Result<(), String> {
         let scale = Scale {
             divisor: self.scale.max(1),
         };
@@ -262,10 +275,13 @@ impl RunSpec {
         if self.mlp == 0 {
             return Err("`mlp` must be at least 1".to_owned());
         }
-        if self.threads == 0 {
-            return Err("`threads` must be at least 1".to_owned());
+        if self.threads != 1 {
+            return Err(format!(
+                "`threads` must be 1: runs are single-threaded, got {}",
+                self.threads
+            ));
         }
-        self.controller_at(None).map(drop)
+        self.controller_at(policy).map(drop)
     }
 
     /// The controller this spec runs: the family default at the spec's
@@ -349,7 +365,6 @@ impl RunSpec {
         cfg.warmup_insts = self.warmup;
         cfg.mlp = self.mlp as usize;
         cfg.telemetry = self.telemetry;
-        cfg.threads = self.threads as usize;
         Ok(System::new(cfg, &workload, self.seed))
     }
 
@@ -616,6 +631,18 @@ impl JobSpec {
         }
     }
 
+    /// Checks every cell under `policy` ([`RunSpec::validate_with`]) —
+    /// the admission check against the policy active at submission.
+    ///
+    /// # Errors
+    ///
+    /// The first failing cell's message.
+    pub fn validate_with(&self, policy: Option<&FleetPolicy>) -> Result<(), String> {
+        self.cells()
+            .iter()
+            .try_for_each(|cell| cell.validate_with(policy))
+    }
+
     /// Number of individual simulations this job performs.
     pub fn runs(&self) -> usize {
         self.cells().len()
@@ -703,8 +730,7 @@ mod tests {
             seed: 7,
             mlp: 2,
             telemetry: true,
-            threads: 4,
-            knobs: Knobs::default(),
+            ..RunSpec::default()
         };
         let back = RunSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(back, spec);
@@ -719,7 +745,7 @@ mod tests {
         };
         let text = with_knobs.to_json().render();
         assert!(
-            text.ends_with(r#""threads":4,"knobs":{"commit_k":"inf","blocks_per_super":16}}"#),
+            text.ends_with(r#""threads":1,"knobs":{"commit_k":"inf","blocks_per_super":16}}"#),
             "{text}"
         );
         let back = RunSpec::from_json(&parse(&text).expect("json")).expect("roundtrip");
@@ -731,7 +757,7 @@ mod tests {
     #[test]
     fn knob_free_documents_render_byte_identically() {
         for doc in [
-            r#"{"workload":"ycsb-a","controller":"dice","insts":1000,"warmup":10,"scale":1024,"seed":7,"mlp":2,"telemetry":true,"threads":4}"#,
+            r#"{"workload":"ycsb-a","controller":"dice","insts":1000,"warmup":10,"scale":1024,"seed":7,"mlp":2,"telemetry":true,"threads":1}"#,
             r#"{"grid":{"workloads":["ycsb-a","pr.twi"],"controllers":["simple","baryon"],"insts":2000,"warmup":500,"scale":2048,"seed":42,"mlp":1,"telemetry":false,"threads":1}}"#,
         ] {
             let job = JobSpec::from_json(&parse(doc).expect("json")).expect("valid job");
@@ -806,6 +832,7 @@ mod tests {
             r#"{"scale":0}"#,
             r#"{"mlp":0}"#,
             r#"{"threads":0}"#,
+            r#"{"threads":2}"#,
             r#"[1,2]"#,
         ] {
             let doc = parse(bad).expect("valid json");
@@ -1068,6 +1095,37 @@ mod tests {
         simple
             .execute_with(Some(&policy))
             .expect("simple ignores knobs");
+    }
+
+    /// Admission resolves every cell under the active policy at the
+    /// cell's own scale, past the divisors the policy's validation walks.
+    #[test]
+    fn validate_with_checks_the_policy_at_the_spec_scale() {
+        let policy = FleetPolicy {
+            knobs: Knobs {
+                stage_ways: Some(64),
+                ..Knobs::default()
+            },
+            ..FleetPolicy::default()
+        };
+        policy.validate().expect("valid at every validated divisor");
+        let big = RunSpec {
+            scale: 8192,
+            ..small_spec()
+        };
+        big.validate().expect("valid without the policy");
+        let err = big.validate_with(Some(&policy)).expect_err("invalid here");
+        assert!(err.contains("8192"), "{err}");
+        small_spec()
+            .validate_with(Some(&policy))
+            .expect("valid at the default scale");
+        let grid = JobSpec::Grid(GridSpec {
+            workloads: vec!["ycsb-a".into()],
+            controllers: vec!["simple".into(), "baryon".into()],
+            base: big,
+        });
+        assert!(grid.validate_with(Some(&policy)).is_err());
+        assert_eq!(grid.validate_with(None), Ok(()));
     }
 
     #[test]

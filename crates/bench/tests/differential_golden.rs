@@ -49,7 +49,6 @@ fn spec(workload: &str, controller: &str, telemetry: bool) -> RunSpec {
         seed: SEED,
         mlp: 1,
         telemetry,
-        threads: 1,
         ..RunSpec::default()
     }
 }

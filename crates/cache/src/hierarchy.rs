@@ -86,12 +86,11 @@ pub struct HierAccess {
 /// The core-private outcome of one reference: everything
 /// [`Hierarchy::access`] decides by touching only `core`'s L1D and L2.
 ///
-/// This is the hand-off record of the deterministic parallel run mode:
-/// worker threads drive disjoint cores' private caches ahead of time with
-/// [`Hierarchy::access_private`], and the single merge thread later
-/// replays the shared part (LLC state, statistics) in the canonical core
-/// interleaving with [`Hierarchy::access_shared`]. Composing the two is
-/// exactly [`Hierarchy::access`].
+/// The hand-off record between the two halves of an access, which exist
+/// so that a profiler can time the private levels and the LLC layer by
+/// layer: [`Hierarchy::access_private`] produces it and
+/// [`Hierarchy::access_shared`] consumes it. Composing the two is exactly
+/// [`Hierarchy::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrivateAccess {
     /// The reference hit in L1D.
@@ -165,27 +164,49 @@ impl Hierarchy {
 
     /// The core-private half of [`Hierarchy::access`]: runs the reference
     /// through `core`'s L1D and L2 (contents and LRU mutate; statistics do
-    /// not) and records what the shared half needs. Touches no shared
-    /// state, so disjoint cores may run this concurrently.
+    /// not) and records what the shared half needs.
     ///
     /// # Panics
     ///
     /// Panics if `core >= cores`.
     pub fn access_private(&mut self, core: usize, addr: u64, is_write: bool) -> PrivateAccess {
         assert!(core < self.cfg.cores, "core {core} out of range");
-        private_access(&mut self.l1d[core], &mut self.l2[core], addr, is_write)
+        let (l1, l2) = (&mut self.l1d[core], &mut self.l2[core]);
+        let mut private = PrivateAccess {
+            l1_hit: false,
+            l2_hit: false,
+            to_llc_victim: None,
+            to_llc_demand: None,
+        };
+        let first = l1.access_quiet(addr, is_write);
+        if first.hit {
+            private.l1_hit = true;
+            return private;
+        }
+        // L1 dirty victim goes to L2.
+        if let Some(ev) = first.eviction.filter(|e| e.dirty) {
+            if let Some(l2ev) = l2.install_dirty(ev.addr) {
+                if l2ev.dirty {
+                    private.to_llc_victim = Some(l2ev.addr);
+                }
+            }
+        }
+        let second = l2.access_quiet(addr, false);
+        if second.hit {
+            private.l2_hit = true;
+            return private;
+        }
+        if let Some(ev) = second.eviction.filter(|e| e.dirty) {
+            private.to_llc_demand = Some(ev.addr);
+        }
+        private
     }
 
     /// The shared half of [`Hierarchy::access`]: counts the private
     /// hit/miss outcomes into `core`-independent statistics totals, applies
     /// the recorded dirty spills to the LLC in their original order, and
-    /// performs the LLC demand lookup. Must run in the canonical core
-    /// interleaving — it mutates the shared LLC.
-    ///
-    /// The statistics counted here are the private levels' as well: the
-    /// parallel run mode defers them to the merge thread so the
-    /// measurement-boundary reset observes the same counts as a serial
-    /// run (worker threads may already have simulated past the boundary).
+    /// performs the LLC demand lookup. The private levels' statistics are
+    /// counted here too, so the private half stays free of bookkeeping.
     pub fn access_shared(
         &mut self,
         addr: u64,
@@ -249,56 +270,6 @@ impl Hierarchy {
         }
     }
 
-    /// Mutable access to each core's private `(L1D, L2)` pair, in core
-    /// order — the per-core shards the parallel run mode hands to worker
-    /// threads (disjoint cores, disjoint caches).
-    pub fn private_shards(
-        &mut self,
-    ) -> impl Iterator<Item = (&mut SetAssocCache, &mut SetAssocCache)> {
-        self.l1d.iter_mut().zip(self.l2.iter_mut())
-    }
-}
-
-/// [`Hierarchy::access_private`] over one detached `(L1D, L2)` pair — the
-/// form worker threads use after [`Hierarchy::private_shards`] has split
-/// the hierarchy into disjoint per-core borrows.
-pub fn private_access(
-    l1: &mut SetAssocCache,
-    l2: &mut SetAssocCache,
-    addr: u64,
-    is_write: bool,
-) -> PrivateAccess {
-    let mut private = PrivateAccess {
-        l1_hit: false,
-        l2_hit: false,
-        to_llc_victim: None,
-        to_llc_demand: None,
-    };
-    let first = l1.access_quiet(addr, is_write);
-    if first.hit {
-        private.l1_hit = true;
-        return private;
-    }
-    // L1 dirty victim goes to L2.
-    if let Some(ev) = first.eviction.filter(|e| e.dirty) {
-        if let Some(l2ev) = l2.install_dirty(ev.addr) {
-            if l2ev.dirty {
-                private.to_llc_victim = Some(l2ev.addr);
-            }
-        }
-    }
-    let second = l2.access_quiet(addr, false);
-    if second.hit {
-        private.l2_hit = true;
-        return private;
-    }
-    if let Some(ev) = second.eviction.filter(|e| e.dirty) {
-        private.to_llc_demand = Some(ev.addr);
-    }
-    private
-}
-
-impl Hierarchy {
     /// Installs extra decompressed 64 B lines into the LLC (Baryon's
     /// bandwidth-free memory-to-LLC prefetch, §III-E). Returns dirty lines
     /// displaced to memory.

@@ -181,11 +181,10 @@ impl SetAssocCache {
     }
 
     /// The state-mutating half of [`SetAssocCache::access`]: identical tag,
-    /// LRU, dirty-bit and fill behaviour, but no statistics. Used by the
-    /// deterministic parallel run mode, where private caches are simulated
-    /// ahead of time by worker threads and the hit/miss *counts* are
-    /// replayed in merge order via [`SetAssocCache::count_access`] (so the
-    /// warm-up statistics reset falls at the same point it would serially).
+    /// LRU, dirty-bit and fill behaviour, but no statistics. The private
+    /// half of [`crate::Hierarchy::access`] uses it and counts the outcome
+    /// afterwards via [`SetAssocCache::count_access`], so the two halves can
+    /// be timed separately.
     pub fn access_quiet(&mut self, addr: u64, is_write: bool) -> AccessResult {
         self.tick += 1;
         let set = self.set_of(addr);

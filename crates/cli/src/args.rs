@@ -67,6 +67,29 @@ impl Args {
         })
     }
 
+    /// Refuses every flag outside `known` (space-separated names of the
+    /// flags `command` reads), so that a typo or a retired flag cannot
+    /// silently run at the defaults.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown flag (in sorted order).
+    pub fn try_only(&self, command: &str, known: &str) -> Result<(), ArgError> {
+        let unknown = |key: &&String| !known.split_whitespace().any(|k| k == key.as_str());
+        match self.flags.keys().find(unknown) {
+            Some(key) => Err(ArgError(format!("unknown flag --{key} for {command}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Args::try_only`]; exits with status 2 on an unknown flag.
+    pub fn only(&self, command: &str, known: &str) {
+        self.try_only(command, known).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
     /// The positional command, if given.
     pub fn command(&self) -> Option<&str> {
         self.command.as_deref()
@@ -221,6 +244,17 @@ mod tests {
         assert!(parse_err(&["run", "extra"]).0.contains("unexpected"));
         assert!(parse_err(&["run", "--=5"]).0.contains("malformed flag"));
         assert!(parse_err(&["run", "--"]).0.contains("needs a value"));
+    }
+
+    #[test]
+    fn only_known_flags_pass() {
+        let a = parse(&["run", "--insts", "5", "--seed=2"]);
+        assert_eq!(a.try_only("run", "insts seed scale"), Ok(()));
+        assert_eq!(
+            a.try_only("run", "insts"),
+            Err(ArgError("unknown flag --seed for run".into()))
+        );
+        assert_eq!(parse(&["list"]).try_only("list", ""), Ok(()));
     }
 
     #[test]

@@ -77,13 +77,13 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  baryon-cli list\n  baryon-cli run --workload <name> [--controller <name>] \
          [--insts N] [--warmup N] [--scale D] [--seed S] [--mlp N] [--telemetry true] \
-         [--threads N] [--csv FILE] [--json FILE]\n      \
+         [--csv FILE] [--json FILE]\n      \
          [--checkpoint-every OPS] [--checkpoint-dir DIR] [--checkpoint-keep K]\n  \
          baryon-cli run --resume-from FILE [--csv FILE] [--json FILE]\n  \
          baryon-cli compare --workload <name> [--insts N] [--scale D]\n  \
          baryon-cli record --workload <name> --out FILE [--ops N] [--core C]\n  \
          baryon-cli serve [--port P] [--workers N] [--queue-depth N] [--deadline-ms MS]\n      \
-         [--journal-dir DIR] [--policy FILE]\n  \
+         [--journal-dir DIR] [--finished-cap N] [--policy FILE]\n  \
          baryon-cli fleet [--port P] [--shards N] [--workers N] [--queue-depth N]\n      \
          [--queue-cap N] [--max-in-flight N] [--journal-root DIR] [--shard-program EXE]\n  \
          baryon-cli fleet admin status|stage|commit|rollback [--addr HOST:PORT] [--file FILE]\n  \
@@ -189,7 +189,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         seed: args.num("seed", 42),
         mlp: args.num("mlp", 1),
         telemetry: args.bool_flag("telemetry", false),
-        threads: args.num("threads", 1).max(1),
         ..RunSpec::default()
     };
     let every = args.num("checkpoint-every", 0);
@@ -481,17 +480,34 @@ fn main() -> ExitCode {
     {
         let action = argv.get(2).cloned();
         let args = Args::parse(argv.into_iter().skip(3));
+        args.only("fleet admin", "addr file");
         return admin::cmd_admin(action.as_deref(), &args);
     }
     let args = Args::parse(argv);
-    match args.command() {
-        Some("list") => cmd_list(&args),
-        Some("run") => cmd_run(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("record") => cmd_record(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("fleet") => cmd_fleet(&args),
-        Some("figure") => cmd_figure(&args),
+    let Some(command) = args.command() else {
+        usage()
+    };
+    // Each command with the flags it reads; any other flag exits 2.
+    let (cmd, flags): (fn(&Args) -> ExitCode, &str) = match command {
+        "list" => (cmd_list, "scale"),
+        "run" => (
+            cmd_run,
+            "workload controller insts warmup scale seed mlp telemetry csv json \
+             checkpoint-every checkpoint-dir checkpoint-keep resume-from",
+        ),
+        "compare" => (cmd_compare, "workload insts warmup scale seed"),
+        "record" => (cmd_record, "workload out ops core scale seed"),
+        "serve" => (
+            cmd_serve,
+            "port workers queue-depth deadline-ms journal-dir finished-cap policy",
+        ),
+        "fleet" => (
+            cmd_fleet,
+            "port shards workers queue-depth queue-cap max-in-flight journal-root shard-program",
+        ),
+        "figure" => (cmd_figure, "id insts warmup scale seed quick out"),
         _ => usage(),
-    }
+    };
+    args.only(command, flags);
+    cmd(&args)
 }

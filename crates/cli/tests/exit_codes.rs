@@ -3,7 +3,8 @@
 //! Scripts supervise `baryon-cli serve` / `baryon-cli fleet` by exit
 //! status, so the statuses are part of the CLI's API:
 //!
-//! * 2 — malformed arguments (never launched anything),
+//! * 2 — malformed arguments or a flag the command does not read (never
+//!   launched anything),
 //! * 3 — the listener port could not be bound,
 //! * 4 — a worker shard could not be spawned or never announced `ADDR`.
 //!
@@ -96,4 +97,36 @@ fn malformed_arguments_still_exit_2() {
         .output()
         .expect("run baryon-cli");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+/// A flag the command does not read exits 2 before anything runs: a
+/// retired flag (`--threads`) or a typo (`--inst`) must not silently run
+/// the experiment at its defaults.
+#[test]
+fn unknown_flags_exit_2_naming_the_flag_and_command() {
+    for (args, flag, command) in [
+        (
+            &["run", "--workload", "ycsb-a", "--threads", "8"][..],
+            "--threads",
+            "run",
+        ),
+        (
+            &["run", "--workload", "ycsb-a", "--inst", "1000"][..],
+            "--inst",
+            "run",
+        ),
+        (&["serve", "--prot=0"][..], "--prot", "serve"),
+        (
+            &["fleet", "admin", "status", "--adr", "x"][..],
+            "--adr",
+            "fleet admin",
+        ),
+    ] {
+        let out = cli().args(args).output().expect("run baryon-cli");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown flag {flag} for {command}");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {out:?}");
+    }
 }

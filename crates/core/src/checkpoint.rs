@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! magic  b"BCKP"        4 bytes
-//! version u8            currently 1
+//! version u8            currently 2 (1 also carried per-core step buffers)
 //! len    u64            payload length in bytes
 //! crc    u32            CRC-32 of the payload
 //! payload               wire-encoded Checkpoint
@@ -31,7 +31,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"BCKP";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const HEADER_LEN: usize = 4 + 1 + 8 + 4;
 
 /// Why a checkpoint could not be restored.

@@ -7,33 +7,25 @@
 //! Cores are interleaved in timestamp order so that device-level contention
 //! (banks, channel buses) is shared realistically.
 //!
-//! # Deterministic parallel execution
+//! # One merge loop
 //!
-//! Every run is split into a *shard* stage and a *merge* stage. Each
-//! core's trace generation and private L1D/L2 simulation depend only on
-//! that core's own stream, so they are precomputed into per-core
-//! lookahead buffers of [`ShardStep`]s — concurrently across
-//! [`SystemConfig::threads`] worker threads when asked to, but with
-//! results that cannot depend on the thread count. The single merge
-//! stage then consumes buffered steps in the canonical
-//! lagging-core-first order, applying everything shared (memory
-//! contents, LLC, the memory controller, statistics). `threads = 1` and
-//! `threads = N` therefore produce bit-identical [`RunResult`]s and
-//! telemetry by construction, and checkpoints capture the buffers so a
-//! restore resumes mid-lookahead exactly.
+//! A run is a single loop: the lagging unfinished core draws its next op
+//! from its trace generator and sends it through the whole hierarchy and
+//! the controller before any other core moves. Nothing is generated ahead
+//! of the loop, so a checkpoint holds only the generators, caches,
+//! controller and timing state, and a chunked or restored run takes the
+//! same steps as one uninterrupted run.
 
 use crate::baselines::{DiceCache, Hybrid2, MicroSector, OsPaging, SimpleCache, UnisonCache};
 use crate::config::BaryonConfig;
 use crate::controller::BaryonController;
 use crate::ctrl::{MemoryController, Request, ServeStats};
 use crate::metrics::RunResult;
-use baryon_cache::hierarchy::private_access;
-use baryon_cache::{Hierarchy, HierarchyConfig, HitLevel, PrivateAccess, SetAssocCache};
+use baryon_cache::{Hierarchy, HierarchyConfig, HitLevel};
 use baryon_sim::telemetry::Registry;
 use baryon_sim::wire::{Reader, WireError, Writer};
 use baryon_sim::Cycle;
-use baryon_workloads::{MemoryContents, Op, Scale, TraceGen, Workload};
-use std::collections::VecDeque;
+use baryon_workloads::{MemoryContents, Scale, TraceGen, Workload};
 
 /// Which memory controller a system runs.
 // Constructed once per run; the config payload is not worth boxing.
@@ -199,10 +191,6 @@ pub struct SystemConfig {
     /// Off by default: disabled runs never read the host clock, so golden
     /// results stay bit-identical.
     pub telemetry: bool,
-    /// Worker threads for the shard stage (per-core trace + private-cache
-    /// lookahead). Purely a host-side throughput knob: any value yields
-    /// bit-identical results. 1 (the default) runs the shard stage inline.
-    pub threads: usize,
 }
 
 impl SystemConfig {
@@ -233,7 +221,6 @@ impl SystemConfig {
             mlp: 1,
             store_buffer: 32,
             telemetry: false,
-            threads: 1,
         }
     }
 
@@ -255,88 +242,6 @@ impl SystemConfig {
 const PHASE_WARMUP: u8 = 0;
 const PHASE_MEASURE: u8 = 1;
 const PHASE_DONE: u8 = 2;
-
-/// Steps a shard worker precomputes per core before the merge stage asks
-/// for more. Bounds lookahead memory (cores × `LOOKAHEAD` × ~40 B) and
-/// sets the parallel grain; the value is behavior-invisible — only the
-/// refill batching changes with it.
-const LOOKAHEAD: usize = 256;
-
-/// One precomputed core step: the trace operation plus the core-private
-/// cache outcome. Produced by shard workers, consumed by the merge stage.
-#[derive(Debug, Clone, Copy)]
-struct ShardStep {
-    op: Op,
-    private: PrivateAccess,
-}
-
-impl ShardStep {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.op.addr);
-        w.bool(self.op.write);
-        w.u32(self.op.gap);
-        w.bool(self.private.l1_hit);
-        w.bool(self.private.l2_hit);
-        w.opt(self.private.to_llc_victim.is_some());
-        if let Some(a) = self.private.to_llc_victim {
-            w.u64(a);
-        }
-        w.opt(self.private.to_llc_demand.is_some());
-        if let Some(a) = self.private.to_llc_demand {
-            w.u64(a);
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let op = Op {
-            addr: r.u64()?,
-            write: r.bool()?,
-            gap: r.u32()?,
-        };
-        let l1_hit = r.bool()?;
-        let l2_hit = r.bool()?;
-        let to_llc_victim = if r.opt()? { Some(r.u64()?) } else { None };
-        let to_llc_demand = if r.opt()? { Some(r.u64()?) } else { None };
-        Ok(ShardStep {
-            op,
-            private: PrivateAccess {
-                l1_hit,
-                l2_hit,
-                to_llc_victim,
-                to_llc_demand,
-            },
-        })
-    }
-}
-
-/// One core's worth of shard work: everything a worker thread needs to
-/// extend that core's lookahead buffer, borrowed disjointly from the
-/// [`System`].
-struct ShardCtx<'a> {
-    gen: &'a mut Box<dyn TraceGen>,
-    l1: &'a mut SetAssocCache,
-    l2: &'a mut SetAssocCache,
-    buf: &'a mut VecDeque<ShardStep>,
-    /// The core's cumulative instruction target for the current phase.
-    target: u64,
-    /// Instructions already *consumed* by the merge stage for this core.
-    consumed_insts: u64,
-}
-
-/// Tops up one core's lookahead buffer: generates trace ops and simulates
-/// the private L1D/L2 until the phase target or the buffer bound is
-/// reached. Generation stops exactly where merge consumption will stop
-/// (both walk the same op stream accumulating `Op::instructions`), so
-/// buffers drain precisely at phase boundaries.
-fn refill_shard(ctx: &mut ShardCtx<'_>) {
-    let mut insts = ctx.consumed_insts + ctx.buf.iter().map(|s| s.op.instructions()).sum::<u64>();
-    while insts < ctx.target && ctx.buf.len() < LOOKAHEAD {
-        let op = ctx.gen.next_op();
-        insts += op.instructions();
-        let private = private_access(ctx.l1, ctx.l2, op.addr, op.write);
-        ctx.buf.push_back(ShardStep { op, private });
-    }
-}
 
 /// Progress of an incremental run ([`System::begin`] /
 /// [`System::advance`] / [`System::finish`]): which phase the run is in,
@@ -414,9 +319,6 @@ pub struct System {
     outstanding: Vec<Vec<Cycle>>,
     /// Per-core completion times of posted writebacks (store buffer).
     wb_queue: Vec<Vec<Cycle>>,
-    /// Per-core lookahead buffers of precomputed shard steps (see the
-    /// module docs on deterministic parallel execution).
-    shards: Vec<VecDeque<ShardStep>>,
     llc_misses: u64,
     read_latency: baryon_sim::histogram::Histogram,
     /// In-progress incremental run, if any.
@@ -460,7 +362,6 @@ impl System {
             core_insts: vec![0; cores],
             outstanding: vec![Vec::new(); cores],
             wb_queue: vec![Vec::new(); cores],
-            shards: vec![VecDeque::new(); cores],
             llc_misses: 0,
             read_latency: baryon_sim::histogram::Histogram::new(),
             cursor: None,
@@ -675,12 +576,6 @@ impl System {
     /// `targets`, interleaving cores in timestamp order and spending at
     /// most `budget` operations. Returns whether every core reached its
     /// target, plus the operations executed.
-    ///
-    /// This is the merge stage: each scheduled step is popped from the
-    /// core's lookahead buffer (refilled — possibly in parallel — when
-    /// the scheduled core runs dry). The refill trigger depends only on
-    /// consumption counts, so chunked `advance` calls, thread counts, and
-    /// checkpoint cuts cannot shift it.
     fn run_phase_chunk(&mut self, targets: &[u64], budget: &mut u64) -> (bool, u64) {
         let cores = self.core_time.len();
         let mut ops = 0;
@@ -695,61 +590,16 @@ impl System {
             if *budget == 0 {
                 return (false, ops);
             }
-            if self.shards[core].is_empty() {
-                self.refill_shards(targets);
-            }
-            let step = self.shards[core]
-                .pop_front()
-                .expect("refilled buffer of an unfinished core");
-            self.step_merged(core, step);
+            self.step(core);
             ops += 1;
             *budget -= 1;
         }
     }
 
-    /// Tops up every core's lookahead buffer toward its phase target,
-    /// fanning the independent per-core work out over
-    /// [`SystemConfig::threads`] scoped worker threads (inline when 1).
-    fn refill_shards(&mut self, targets: &[u64]) {
-        let core_insts = &self.core_insts;
-        let mut ctxs: Vec<ShardCtx<'_>> = self
-            .gens
-            .iter_mut()
-            .zip(self.hierarchy.private_shards())
-            .zip(self.shards.iter_mut())
-            .enumerate()
-            .map(|(core, ((gen, (l1, l2)), buf))| ShardCtx {
-                gen,
-                l1,
-                l2,
-                buf,
-                target: targets[core],
-                consumed_insts: core_insts[core],
-            })
-            .collect();
-        let threads = self.cfg.threads.max(1);
-        if threads == 1 {
-            for ctx in &mut ctxs {
-                refill_shard(ctx);
-            }
-        } else {
-            let chunk = ctxs.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for batch in ctxs.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for ctx in batch {
-                            refill_shard(ctx);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
-    /// Applies one precomputed shard step in merge order: memory-contents
-    /// writes, shared-cache and controller effects, statistics, timing.
-    fn step_merged(&mut self, core: usize, step: ShardStep) {
-        let op = step.op;
+    /// Runs `core`'s next trace op: memory-contents writes, the cache
+    /// hierarchy, controller effects, statistics and timing.
+    fn step(&mut self, core: usize) {
+        let op = self.gens[core].next_op();
         self.core_insts[core] += op.instructions();
         let mut t = self.core_time[core] + (op.gap as f64 * self.cfg.cpi_nonmem).ceil() as Cycle;
         if op.write {
@@ -757,9 +607,7 @@ impl System {
             // to memory later via the write-back path.
             self.contents.write_line(op.addr);
         }
-        let access = self
-            .hierarchy
-            .access_shared(op.addr, op.write, &step.private);
+        let access = self.hierarchy.access(core, op.addr, op.write);
         for wb in &access.writebacks {
             let done = self.controller.writeback(t, *wb, &mut self.contents);
             t = self.post_writeback(core, t, done);
@@ -856,16 +704,6 @@ impl System {
         for g in &self.gens {
             g.save_state(w);
         }
-        // The lookahead buffers belong to the generators' checkpoint
-        // moment: `gens` (and the private caches) have already produced
-        // these steps, so a restore must re-consume, not re-generate them.
-        w.seq(self.shards.len());
-        for buf in &self.shards {
-            w.seq(buf.len());
-            for step in buf {
-                step.save(w);
-            }
-        }
         w.seq(self.core_time.len());
         for t in &self.core_time {
             w.u64(*t);
@@ -929,17 +767,6 @@ impl System {
         }
         for g in &mut self.gens {
             g.load_state(r)?;
-        }
-        let n = r.seq()?;
-        if n != cores {
-            return Err(WireError::BadLength(n as u64));
-        }
-        for buf in &mut self.shards {
-            let steps = r.seq()?;
-            buf.clear();
-            for _ in 0..steps {
-                buf.push_back(ShardStep::load(r)?);
-            }
         }
         load_u64_exact(r, &mut self.core_time)?;
         load_u64_exact(r, &mut self.core_insts)?;

@@ -75,7 +75,6 @@ fn spec(workload: &str, telemetry: bool) -> RunSpec {
         seed: 42,
         mlp: 1,
         telemetry,
-        threads: 1,
         ..RunSpec::default()
     }
 }

@@ -660,7 +660,16 @@ fn submit(shared: &FleetShared, request: &Request) -> Response {
             return Response::error(400, ErrorCode::InvalidJson, &format!("invalid JSON: {e}"))
         }
     };
-    let spec = match JobSpec::from_json(&doc) {
+    // Every cell must also hold under the active policy: its knobs can
+    // invalidate a scale the policy's own validation never reached.
+    let policy = (shared.config.lock().expect("config lock poisoned"))
+        .active()
+        .1
+        .policy
+        .clone();
+    let spec = match JobSpec::from_json(&doc)
+        .and_then(|spec| spec.validate_with(policy.as_ref()).map(|()| spec))
+    {
         Ok(spec) => spec,
         Err(e) => {
             return Response::error(

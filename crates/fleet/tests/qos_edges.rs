@@ -3,8 +3,8 @@
 //! `Retry-After` under simultaneous class-cap and quota exhaustion (the
 //! 429 wins), interactive starvation-freedom under a saturating batch
 //! backlog, a paused shard's work running on the other shard, whole-job
-//! admission, a cancelled job's stream ending at once, and the retention
-//! cap on settled jobs.
+//! admission, admission under the active policy, a cancelled job's stream
+//! ending at once, and the retention cap on settled jobs.
 
 use baryon_bench::spec::{GridSpec, JobSpec, RunSpec};
 use baryon_fleet::harness::GateFleet;
@@ -399,6 +399,35 @@ fn a_job_is_admitted_whole_or_refused_without_touching_the_queue() {
     }
     await_state(&h, id, "done");
     assert_eq!(queue_depths(&h), (0, 0));
+}
+
+/// Admission resolves every cell under the active policy: `stage_ways:
+/// 64` passes the policy's own validation (divisors 1..=4096) but leaves
+/// a scale-8192 machine a stage area smaller than one set.
+#[test]
+fn admission_checks_every_cell_against_the_active_policy() {
+    let h = boot("policy", 1, 16, 8);
+    let small_stage = r#"{"stage_ways":64}"#;
+    h.request("POST", "/v1/admin/config/stage", Some(small_stage), 200)
+        .expect("stage");
+    h.request("POST", "/v1/admin/config/commit", None, 200)
+        .expect("commit");
+    let grid = r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple","baryon"],"insts":2000,"warmup":500,"scale":8192}}"#;
+    for (body, reason) in [
+        (grid, "at scale 8192"),
+        (r#"{"workload":"ycsb-a","threads":8}"#, "single-threaded"),
+    ] {
+        let (status, headers, reply) = raw_request(h.addr(), "POST", "/v1/jobs", &[], body);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("invalid_spec"), "{reply}");
+        assert!(reply.contains(reason), "{reply}");
+        assert_eq!(header(&headers, "retry-after"), None);
+    }
+    assert_eq!(queue_depths(&h), (0, 0), "a refusal queues nothing");
+    // The same grid at a scale the policy fits is admitted and runs.
+    let fits = grid.replace("8192", "2048");
+    let id = h.submit(&fits, "grid the policy fits").expect("admitted");
+    await_state(&h, id, "done");
 }
 
 /// Opens the job's event stream and returns once the response head has

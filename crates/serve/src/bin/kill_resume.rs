@@ -53,7 +53,6 @@ fn gate_spec() -> RunSpec {
         seed: 7,
         mlp: 1,
         telemetry: false,
-        threads: 1,
         ..RunSpec::default()
     }
 }

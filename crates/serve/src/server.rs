@@ -622,7 +622,11 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
             return Response::error(400, ErrorCode::InvalidJson, &format!("invalid JSON: {e}"))
         }
     };
-    let spec = match JobSpec::from_json(&doc) {
+    // The spec must also hold under this incarnation's policy: its knobs
+    // can invalidate a scale the policy's own validation never reached.
+    let spec = match JobSpec::from_json(&doc)
+        .and_then(|spec| spec.validate_with(shared.policy.as_ref()).map(|()| spec))
+    {
         Ok(spec) => spec,
         Err(e) => {
             return Response::error(

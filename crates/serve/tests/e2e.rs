@@ -9,6 +9,7 @@
 //! * lifecycle: status polling, cancellation of queued jobs, metrics.
 
 use baryon_bench::spec::RunSpec;
+use baryon_core::policy::FleetPolicy;
 use baryon_serve::client::{self, ClientResponse};
 use baryon_serve::{ServeConfig, Server};
 use baryon_sim::json::{parse, Json};
@@ -107,7 +108,6 @@ fn served_result_is_byte_identical_to_direct_run() {
         seed: 7,
         mlp: 1,
         telemetry: false,
-        threads: 1,
         ..RunSpec::default()
     };
     let direct = spec.execute().expect("spec runs").to_json().render();
@@ -271,6 +271,12 @@ fn protocol_errors_are_typed() {
         r.body
     );
 
+    // Runs are single-threaded: any other `threads` → 400.
+    let r = submit(addr, r#"{"workload":"ycsb-a","threads":8}"#);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("invalid_spec"), "{}", r.body);
+    assert!(r.body.contains("single-threaded"), "{}", r.body);
+
     // Sizes that would abort the shard on allocation → 400 before any run.
     for (body, reason) in [
         (
@@ -308,6 +314,38 @@ fn protocol_errors_are_typed() {
         Some(&Json::from(1u64))
     );
 
+    shutdown(addr, handle);
+}
+
+/// Admission resolves every cell under the server's policy: `stage_ways:
+/// 64` passes the policy's own validation (divisors 1..=4096) but leaves
+/// a scale-8192 machine a stage area smaller than one set.
+#[test]
+fn admission_checks_every_cell_against_the_servers_policy() {
+    let policy = FleetPolicy::from_json(&parse(r#"{"stage_ways":64}"#).expect("json"))
+        .expect("valid policy");
+    let server = Server::bind(ServeConfig {
+        port: 0,
+        workers: 1,
+        queue_depth: 4,
+        policy: Some(policy),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral loopback port");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || {
+        server.run().expect("accept loop exits cleanly");
+    });
+    let grid = r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple","baryon"],"insts":2000,"warmup":500,"scale":8192}}"#;
+    let r = submit(addr, grid);
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("invalid_spec"), "{}", r.body);
+    assert!(r.body.contains("at scale 8192"), "{}", r.body);
+    // The same grid at a scale the policy fits is admitted and runs.
+    let r = submit(addr, &grid.replace("8192", "2048"));
+    assert_eq!(r.status, 202, "{}", r.body);
+    let status = await_job(addr, job_id(&r));
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
     shutdown(addr, handle);
 }
 

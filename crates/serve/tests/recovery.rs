@@ -5,6 +5,7 @@
 //! uninterrupted run would have produced.
 
 use baryon_bench::spec::{GridSpec, JobSpec, RunSpec, CHECKPOINT_PREFIX};
+use baryon_core::checkpoint::{Checkpoint, RestoreError};
 use baryon_serve::client::{self, ClientResponse};
 use baryon_serve::journal::{Journal, JournalEvent};
 use baryon_serve::{ServeConfig, Server};
@@ -80,7 +81,6 @@ fn quick_spec() -> RunSpec {
         seed: 5,
         mlp: 1,
         telemetry: false,
-        threads: 1,
         ..RunSpec::default()
     }
 }
@@ -179,6 +179,55 @@ fn unstarted_and_interrupted_jobs_recover() {
     assert!(r.body.contains("\"serve.jobs.recovered\":2"), "{}", r.body);
     // The resumed job's checkpoints were cleaned up on completion.
     assert!(!dir.join("ckpt-2").exists(), "checkpoints linger");
+    shutdown(addr, handle);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A checkpoint left by an older build (format version 1, which also
+/// carried per-core step buffers) is refused with a typed error and
+/// quarantined; the interrupted job falls down the ladder to a cold run
+/// and still finishes with the uninterrupted result.
+#[test]
+fn a_version_1_checkpoint_falls_back_to_a_cold_run() {
+    let dir = temp_dir("v1-ckpt");
+    let spec = quick_spec();
+    let golden = spec.execute().expect("golden run").to_json().render();
+    {
+        let mut system = spec.build_system().expect("system");
+        system.begin(spec.insts);
+        assert!(!system.advance(800), "run too short to interrupt");
+        let path = spec
+            .checkpoint_of(&system)
+            .save_rotating(&dir.join("ckpt-1"), CHECKPOINT_PREFIX, 2)
+            .expect("write checkpoint");
+        // The version byte follows the 4-byte magic; the CRC covers only
+        // the payload, so the file stays framed correctly.
+        let mut bytes = std::fs::read(&path).expect("read back");
+        bytes[4] = 1;
+        std::fs::write(&path, bytes).expect("plant version 1");
+        assert!(matches!(
+            Checkpoint::read_from(&path),
+            Err(RestoreError::BadVersion(1))
+        ));
+        let journal = Journal::open(&dir).expect("open journal");
+        for event in [
+            JournalEvent::Submit {
+                id: 1,
+                spec_json: spec.to_json().render(),
+            },
+            JournalEvent::Start { id: 1 },
+        ] {
+            journal.append(&event).expect("append");
+        }
+    }
+
+    let (addr, handle) = boot(&dir);
+    let status = await_job(addr, 1);
+    assert_eq!(status.get("state"), Some(&Json::from("done")));
+    assert_eq!(status.get("result").map(Json::render), Some(golden));
+    assert_eq!(counter(addr, "serve.ckpt.quarantined"), 1);
+    assert_eq!(counter(addr, "serve.jobs.recovered"), 1);
+    assert!(!dir.join("ckpt-1").exists(), "checkpoints linger");
     shutdown(addr, handle);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
